@@ -31,6 +31,7 @@ from .systems import (
     enumerate_systems_with_diagnostics,
     find_seifert_system,
     solve_endpoints,
+    solver_choices,
 )
 from .surfaces import CSV_COLUMNS, build_reports, system_twist
 
@@ -94,14 +95,7 @@ def _cross_check(knot: MontesinosKnot, m_max: int = 64) -> int:
 
     from .edgepaths import enumerate_skeletons
 
-    per_tangle = [
-        [
-            sk
-            for sk in enumerate_skeletons(f)
-            if sk.constant or (sk.n_edges >= 1 and not sk.final_left.is_infinite)
-        ]
-        for f in knot.tangles
-    ]
+    per_tangle = [solver_choices(enumerate_skeletons(f)) for f in knot.tangles]
     checked = mismatched = 0
     for combo in product(*per_tangle):
         if all(ch.constant for ch in combo):

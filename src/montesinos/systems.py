@@ -2,23 +2,31 @@
 
 A system assigns one edgepath per tangle. Beyond the per-path conditions
 (E1, E2, E4) the ending points must lie on one vertical line with their
-v-coordinates summing to zero (E3). For a choice of per-tangle skeletons
-with open final edges (plus constant markers), E3 is an exact linear
-system: writing the endpoint of path i as weight t_i on the left vertex
-p_i/q_i of its final edge and 1 - t_i on the right vertex r_i/s_i, the
-common vertical line forces
+v-coordinates summing to zero (E3). Take one skeleton per tangle with an
+open final edge (plus constant markers), and write the endpoint of moving
+path i as weight t_i on the left vertex p_i/q_i of its final edge and
+1 - t_i on the right vertex r_i/s_i. Farey edges are straight lines in the
+uv-plane, so the common vertical line u = 1 - 1/c fixes every weight by
+the shared effective denominator c:
 
-    t_i * q_i + (1 - t_i) * s_i = c          (one equation per moving path)
+    t_i = (c - s_i) / (q_i - s_i)
 
-for a shared value c with u = 1 - 1/c, and the zero sum reads
+and the zero sum over moving paths i and constant paths j becomes one
+equation in one unknown,
 
-    sum_i (t_i * p_i + (1 - t_i) * r_i) + c * sum_j R_j = 0
+    A * c = B,   A = sum_i a_i + sum_j R_j,   B = sum_i (s_i * a_i - r_i),
 
-over the moving paths i and constant paths j. The solver eliminates
-exactly over the rationals; a unique solution is accepted when every
-t_i lies in (0, 1] and every constant tangle satisfies c >= q_j (its
-point must stay on the horizontal edge). Rank-deficient systems are
-flagged as degenerate, never guessed at.
+with a_i = (p_i - r_i) / (q_i - s_i). A == 0 == B is a continuous family
+of endpoints, flagged as degenerate and never guessed at; A == 0 != B has
+no solution. Otherwise c = B / A is accepted when every t_i lies in (0, 1]
+and every constant tangle satisfies c >= q_j (its point must stay on the
+horizontal edge).
+
+Those range conditions make each choice a c-interval: [q_i, s_i) for a
+moving path (skeleton descent keeps q_i < s_i) and [q_j, inf) for a
+constant one. The enumeration walks the tangles depth first and drops a
+branch once the running intersection is empty, so combinations that
+cannot meet are never built or solved.
 
 Systems come in three kinds by the common final u-coordinate: type I
 (u > 0, solved endpoints in the open region), type II (u = 0, endpoints
@@ -30,6 +38,7 @@ two parity conditions on the reduced mod-2 vertex labels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -98,47 +107,6 @@ class MontesinosKnot:
         return f"M({', '.join(str(f) for f in self.tangles)})"
 
 
-# -- exact linear algebra ----------------------------------------------------
-
-_UNDERDETERMINED = object()
-
-
-def _solve_square_exact(rows: list[list[Frac]], rhs: list[Frac]):
-    """Gauss-Jordan over the rationals for an n x n system.
-
-    Returns the solution list, None when inconsistent, or the
-    underdetermined marker when consistent but rank-deficient.
-    """
-    n = len(rows)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(rows)]
-    piv_cols: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][col]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(col)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if aug[i][n] != 0:
-            return None
-    if r < n:
-        return _UNDERDETERMINED
-    sol = [Frac(0)] * n
-    for i, col in enumerate(piv_cols):
-        sol[col] = aug[i][n]
-    return sol
-
-
 # -- endpoint solving --------------------------------------------------------
 
 
@@ -165,12 +133,12 @@ def _check_moving_choice(choice: PathSkeleton):
 
 
 def solve_endpoints(choices: Sequence[PathSkeleton]) -> EndpointSolution | None:
-    """Solve E3 exactly for one skeleton choice per tangle.
+    """Solve E3 exactly for one skeleton choice per tangle, as A * c = B.
 
     Returns the unique solution when it exists and meets every range
-    constraint, None when the system is inconsistent or the solution falls
-    outside the constraints. Raises DegenerateSystemError on a consistent
-    rank-deficient system.
+    constraint, None when the equation is inconsistent or the solution
+    falls outside the constraints. Raises DegenerateSystemError when every
+    c solves it (A == 0 == B).
     """
     moving = [ch for ch in choices if not ch.constant]
     constants = [ch for ch in choices if ch.constant]
@@ -179,39 +147,35 @@ def solve_endpoints(choices: Sequence[PathSkeleton]) -> EndpointSolution | None:
     for ch in moving:
         _check_moving_choice(ch)
 
-    m = len(moving)
-    rows = []
-    rhs = []
-    for i, ch in enumerate(moving):
-        q, s = ch.final_left.den, ch.final_right.den
-        row = [Frac(0)] * (m + 1)
-        row[i] = Frac(q - s)
-        row[m] = Frac(-1)
-        rows.append(row)
-        rhs.append(Frac(-s))
-    const_sum = Frac(0)
+    # a_i and b_i per moving path; each constant tangle adds R_j to A
+    A = Frac(0)
+    B = Frac(0)
+    for ch in moving:
+        left, right = ch.final_left, ch.final_right
+        a = Frac(left.num - right.num, left.den - right.den)
+        A = A + a
+        B = B + right.den * a - right.num
     for ch in constants:
-        const_sum = const_sum + ch.tangle
-    last = [Frac(ch.final_left.num - ch.final_right.num) for ch in moving]
-    last.append(const_sum)
-    rows.append(last)
-    rhs.append(Frac(-sum(ch.final_right.num for ch in moving)))
-
-    sol = _solve_square_exact(rows, rhs)
-    if sol is None:
-        return None
-    if sol is _UNDERDETERMINED:
+        A = A + ch.tangle
+    if A == 0:
+        if B != 0:
+            return None
         raise DegenerateSystemError(
             "degenerate: endpoints form a continuous family for "
             + "; ".join(str(ch) for ch in choices)
         )
-    ts, c = sol[:m], sol[m]
-    if any(t <= 0 or t > 1 for t in ts):
-        return None
+    c = B / A
+    weights = []
+    for ch in moving:
+        q, s = ch.final_left.den, ch.final_right.den
+        t = (c - s) / (q - s)
+        if t <= 0 or t > 1:
+            return None
+        weights.append(t)
     for ch in constants:
         if c < ch.tangle.den:
             return None
-    return EndpointSolution(tuple(ts), c)
+    return EndpointSolution(tuple(weights), c)
 
 
 # -- systems -----------------------------------------------------------------
@@ -286,25 +250,58 @@ def _extended_vertices(choice: PathSkeleton, displacement: int) -> tuple[Frac, .
     return choice.vertices + extra
 
 
+def solver_choices(skeletons: Sequence[PathSkeleton]) -> list[PathSkeleton]:
+    """The skeletons an endpoint solve accepts: the constant marker and
+    every path whose open final edge stops short of <inf>."""
+    return [
+        sk for sk in skeletons if sk.constant or (sk.n_edges >= 1 and not sk.final_left.is_infinite)
+    ]
+
+
+def _c_range(choice: PathSkeleton) -> tuple[int, int | float]:
+    """The half-open interval [lo, hi) of effective denominators c that
+    keep the choice in range: [q, s) for a moving path, whose final edge
+    runs from r/s down to p/q, and [q_j, inf) for a constant path."""
+    if choice.constant:
+        return choice.tangle.den, math.inf
+    return choice.final_left.den, choice.final_right.den
+
+
+def _meeting_combinations(per_tangle: Sequence[Sequence[PathSkeleton]]):
+    """The combinations of ``product(*per_tangle)`` whose c-ranges share a
+    point, in product order. A branch is dropped as soon as the running
+    intersection of its ranges is empty, so the rest are never built."""
+    ranged = [[(ch, *_c_range(ch)) for ch in options] for options in per_tangle]
+
+    def walk(depth, lo, hi, prefix):
+        if depth == len(ranged):
+            yield prefix
+            return
+        for ch, ch_lo, ch_hi in ranged[depth]:
+            meet_lo, meet_hi = max(lo, ch_lo), min(hi, ch_hi)
+            if meet_lo < meet_hi:
+                yield from walk(depth + 1, meet_lo, meet_hi, prefix + (ch,))
+
+    return walk(0, 0, math.inf, ())
+
+
 def enumerate_systems_with_diagnostics(
     knot: MontesinosKnot, cap: int = DEFAULT_COMBINATION_CAP
 ) -> tuple[list[EdgepathSystem], list[Diagnostic]]:
     """All candidate systems of the knot, plus degeneracy diagnostics.
 
     Type I and II systems with isolated endpoints come from the exact
-    solve over every combination of open-final-edge truncations and
-    constant markers. Type II systems needing vertical motion are built
-    from combinations of paths stopped at their v-axis arrival vertices:
-    the integer displacement that zeroes the v-sum is absorbed by the
-    first path whose allowed vertical direction permits it (any other
-    split along vertical edges yields the same twist, hence the same
-    slope). Type III systems are all combinations of maximal skeletons.
+    solve over the combinations of open-final-edge truncations and
+    constant markers whose c-ranges meet; the others have no endpoint in
+    range and are skipped unsolved, degenerate ones included. Type II
+    systems needing vertical motion are built from combinations of paths
+    stopped at their v-axis arrival vertices: the integer displacement
+    that zeroes the v-sum is absorbed by the first path whose allowed
+    vertical direction permits it (any other split along vertical edges
+    yields the same twist, hence the same slope). Type III systems are all combinations of maximal skeletons.
     """
     per_tangle = [enumerate_skeletons(f) for f in knot.tangles]
-    solver_choices = [
-        [sk for sk in sks if sk.constant or (sk.n_edges >= 1 and not sk.final_left.is_infinite)]
-        for sks in per_tangle
-    ]
+    solvable = [solver_choices(sks) for sks in per_tangle]
     maximal = [[sk for sk in sks if not sk.constant and sk.is_maximal] for sks in per_tangle]
     arrivals = [
         [sk for sk in sks if not sk.constant and sk.n_edges >= 1 and sk.final_left.is_integer]
@@ -312,7 +309,7 @@ def enumerate_systems_with_diagnostics(
     ]
 
     total = 0
-    for group in (solver_choices, maximal, arrivals):
+    for group in (solvable, maximal, arrivals):
         count = 1
         for options in group:
             count *= len(options)
@@ -323,7 +320,7 @@ def enumerate_systems_with_diagnostics(
     systems: list[EdgepathSystem] = []
     diagnostics: list[Diagnostic] = []
 
-    for combo in product(*solver_choices):
+    for combo in _meeting_combinations(solvable):
         if all(ch.constant for ch in combo):
             tangle_sum = Frac(0)
             for f in knot.tangles:

@@ -1,8 +1,15 @@
 """Agreement between the exact solver and the brute-force verifiers."""
 
+from itertools import product
+from math import gcd, lcm
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from montesinos import (
+    Frac,
+    MontesinosKnot,
     WeightVector,
     brute_force_endpoints,
     enumerate_skeletons,
@@ -11,7 +18,7 @@ from montesinos import (
     solve_endpoints,
 )
 from montesinos.rationals import INF
-from montesinos.systems import DegenerateSystemError
+from montesinos.systems import DegenerateSystemError, solver_choices
 
 from helpers import fr, skeleton
 
@@ -148,3 +155,38 @@ def test_every_brute_vector_normalizes_into_the_solver(k_spec="-1/2,2/5,1/13"):
                 checked += 1
                 assert (solution.weights, solution.c) in normalized
     assert checked > 0
+
+
+# -- seeded differential test over small random knots ------------------------
+
+
+# 3-tangle knots with denominators up to 7, at most one of them even
+small_tangles = st.tuples(st.integers(-14, 14), st.integers(2, 7)).filter(lambda pq: gcd(*pq) == 1)
+small_knots = st.lists(small_tangles, min_size=3, max_size=3).filter(
+    lambda ts: sum(q % 2 == 0 for _, q in ts) <= 1
+)
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@example([(1, 3), (1, 3), (1, 3)])
+@example([(-2, 3), (3, 5), (-1, 7)])
+@given(small_knots)
+def test_solver_agrees_with_brute_force_on_random_knots(tangles):
+    m_max = 12
+    k = MontesinosKnot(tuple(Frac(p, q) for p, q in tangles))
+    per_tangle = [solver_choices(enumerate_skeletons(f)) for f in k.tangles]
+    for combo in product(*per_tangle):
+        if all(ch.constant for ch in combo):
+            continue
+        try:
+            solution = solve_endpoints(combo)
+        except DegenerateSystemError:
+            continue
+        normalized = {normalize_weight_vector(v, combo) for v in brute_force_endpoints(combo, m_max)}
+        if solution is None:
+            assert not normalized, combo
+            continue
+        expected = (solution.weights, solution.c)
+        assert normalized <= {expected}, combo
+        if lcm(*(t.den for t in solution.weights)) <= m_max:
+            assert expected in normalized, combo

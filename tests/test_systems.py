@@ -1,5 +1,7 @@
 """Knot validation, the exact endpoint solve, enumeration, Seifert detection."""
 
+from itertools import product
+
 import pytest
 
 from montesinos import (
@@ -16,8 +18,11 @@ from montesinos import (
     system_twist,
     validate_system,
 )
-from montesinos import CapExceededError
+from montesinos import CapExceededError, enumerate_skeletons
+from montesinos import systems as systems_module
+from montesinos.cli import main
 from montesinos.rationals import INF
+from montesinos.systems import _c_range, _meeting_combinations, solver_choices
 
 from helpers import fr, knot, skeleton
 
@@ -92,6 +97,11 @@ def test_symmetric_toy_system_is_degenerate():
         solve_endpoints(choices)
 
 
+def test_inconsistent_choice_returns_none():
+    # A == 0 but B != 0: no c satisfies the zero sum
+    assert solve_endpoints([skeleton("-1/3", "-1/3", "0"), skeleton("1/2")]) is None
+
+
 def test_all_constant_rejected():
     with pytest.raises(ValueError, match="moving"):
         solve_endpoints([skeleton("1/2"), skeleton("-1/2")])
@@ -163,6 +173,62 @@ def test_combination_cap():
 def test_no_degenerate_diagnostics_for_the_family():
     _, diagnostics = enumerate_systems_with_diagnostics(knot("-1/2,2/5,1/11"))
     assert diagnostics == []
+
+
+# -- c-range pruning -------------------------------------------------------------
+
+PRUNE_KNOTS = ["-1/2,2/5,1/11", "-1/2,1/5,1/3,-1/3", "-2/3,5/8,4/9", "7/9,-1/7,-4/7"]
+
+
+def _ranges_meet(combo) -> bool:
+    ranges = [_c_range(ch) for ch in combo]
+    return max(lo for lo, _ in ranges) < min(hi for _, hi in ranges)
+
+
+@pytest.mark.parametrize("spec", PRUNE_KNOTS)
+def test_pruned_combinations_have_no_endpoint_in_range(spec):
+    per_tangle = [solver_choices(enumerate_skeletons(f)) for f in knot(spec).tangles]
+    kept = list(_meeting_combinations(per_tangle))
+    kept_set = set(kept)
+    full = list(product(*per_tangle))
+    assert [combo for combo in full if combo in kept_set] == kept  # product order
+    skipped = [combo for combo in full if combo not in kept_set]
+    assert skipped
+    for combo in skipped:
+        assert not _ranges_meet(combo)
+        try:
+            assert solve_endpoints(combo) is None
+        except DegenerateSystemError:
+            pass
+
+
+@pytest.mark.parametrize("spec", PRUNE_KNOTS)
+def test_pruning_keeps_every_system(spec, monkeypatch):
+    pruned = enumerate_systems(knot(spec))
+    monkeypatch.setattr(systems_module, "_meeting_combinations", lambda pt: product(*pt))
+    assert enumerate_systems(knot(spec)) == pruned
+
+
+def _degenerate_notes(capsys, spec):
+    assert main(["enumerate", spec]) == 0
+    prefix = "note: degenerate: degenerate: endpoints form a continuous family for "
+    lines = capsys.readouterr().err.splitlines()
+    return [line[len(prefix):] for line in lines if line.startswith(prefix)]
+
+
+def test_degenerate_notes_only_for_meeting_ranges(capsys, monkeypatch):
+    k = knot("-1/2,1/5,1/3,-1/3")
+    notes = _degenerate_notes(capsys, k.spec_string)
+    monkeypatch.setattr(systems_module, "_meeting_combinations", lambda pt: product(*pt))
+    unpruned = _degenerate_notes(capsys, k.spec_string)
+    assert (len(notes), len(unpruned)) == (2, 24)
+    assert set(notes) <= set(unpruned)
+    names = [{str(sk): sk for sk in solver_choices(enumerate_skeletons(f))} for f in k.tangles]
+    for note in unpruned:
+        combo = [by_name[part] for by_name, part in zip(names, note.split("; "))]
+        assert _ranges_meet(combo) == (note in notes), note
+    skipped = "<-1> - <-1/2>; <1/4> - <1/5>; constant on <1/3>; constant on <-1/3>"
+    assert skipped in unpruned and skipped not in notes
 
 
 # -- independent validation ------------------------------------------------------
