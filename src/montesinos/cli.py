@@ -9,7 +9,9 @@ Subcommands:
 
 Knots are written as comma-separated fractions, e.g. "-1/2,2/5,1/11".
 Output is byte-deterministic for a fixed invocation. Exit codes: 0 ok,
-1 verification failure, 2 usage or parse error, 3 combination cap hit.
+1 verification failure, 2 usage or parse error, 3 combination cap hit,
+4 internal invariant failure (a report identity broke, or a degenerate
+endpoint solve escaped its handler).
 """
 
 from __future__ import annotations
@@ -33,12 +35,13 @@ from .systems import (
     solve_endpoints,
     solver_choices,
 )
-from .surfaces import CSV_COLUMNS, build_reports, system_twist
+from .surfaces import CSV_COLUMNS, IntegrityError, build_reports, system_twist
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 DEFAULT_TYPES = ("I", "III")
 
@@ -342,6 +345,9 @@ def main(argv=None) -> int:
     except SeifertReferenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
+    except (IntegrityError, DegenerateSystemError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -247,23 +247,29 @@ class PathSkeleton:
 def enumerate_skeletons(tangle: Frac) -> list[PathSkeleton]:
     """All leftward path shapes for a tangle.
 
-    Depth-first descent through parent pairs: from each fraction vertex the
-    candidate moves are its two parents, minus any move that retraces or
-    runs along two sides of one triangle with the arriving edge; each
-    integer reached continues to <inf>. Every prefix is emitted (solver
-    choices truncate skeletons anywhere), the maximal paths end at <inf>,
-    and the constant marker is included. Order: constant marker first, then
-    prefixes sorted by vertex sequence.
+    Descent through parent pairs: from each fraction vertex the candidate
+    moves are its two parents, minus any move that retraces or runs along
+    two sides of one triangle with the arriving edge; each integer reached
+    continues to <inf>. Every prefix is emitted (solver choices truncate
+    skeletons anywhere), the maximal paths end at <inf>, and the constant
+    marker is included. Order: constant marker first, then prefixes sorted
+    by vertex sequence.
+
+    The descent is an iterative pre-order walk with an explicit stack, so
+    path length is not bounded by the recursion limit. Children are
+    visited in ascending order, and all prefixes share the first vertex,
+    so pre-order already is the sorted order and nothing is sorted.
     """
     if tangle.is_infinite or tangle.is_integer:
         raise ValueError(f"tangle {tangle} is not a rational tangle")
-    found: list[tuple[Frac, ...]] = []
-
-    def descend(prefix: tuple[Frac, ...]):
-        found.append(prefix)
+    out = [PathSkeleton(tangle, (tangle,), constant=True)]
+    stack = [(tangle,)]
+    while stack:
+        prefix = stack.pop()
+        out.append(PathSkeleton(tangle, prefix))
         cur = prefix[-1]
         if cur.is_infinite:
-            return
+            continue
         if cur.is_integer:
             nxt = [INF]
         else:
@@ -271,11 +277,7 @@ def enumerate_skeletons(tangle: Frac) -> list[PathSkeleton]:
         if len(prefix) >= 2:
             back = prefix[-2]
             nxt = [y for y in nxt if y != back and not is_farey_edge(back, y)]
-        for y in nxt:
-            descend(prefix + (y,))
-
-    descend((tangle,))
-    found.sort()
-    out = [PathSkeleton(tangle, (tangle,), constant=True)]
-    out.extend(PathSkeleton(tangle, verts) for verts in found)
+        # pushed largest first, so the smallest child is visited next
+        for y in reversed(nxt):
+            stack.append(prefix + (y,))
     return out

@@ -25,7 +25,6 @@ package never claims a surface is inessential.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import gcd, lcm
 
@@ -225,7 +224,3 @@ def build_reports(systems, reference: EdgepathSystem) -> list[SurfaceReport]:
     reports = [build_report(s, ref_twist) for s in systems]
     reports.sort(key=lambda r: (r.slope, r.system.system_type))
     return reports
-
-
-def reports_to_json(reports) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2)

@@ -33,7 +33,11 @@ Systems come in three kinds by the common final u-coordinate: type I
 on the v-axis, possibly after motion along vertical edges, which changes
 no twist), and type III (every path runs to <inf>, where E3 holds
 trivially). The Seifert reference among type III systems is detected by
-two parity conditions on the reduced mod-2 vertex labels.
+two parity conditions on the reduced mod-2 vertex labels. The first, a
+single mod-2 edge class, is a condition on each path alone, so the search
+filters every tangle's maximal skeletons by it before taking the product,
+builds each surviving path once, and only counts odd penultimate vertices
+per combination.
 """
 
 from __future__ import annotations
@@ -445,8 +449,8 @@ def _edge_parity(a: Frac, b: Frac) -> frozenset:
     return frozenset(((a.num % 2, a.den % 2), (b.num % 2, b.den % 2)))
 
 
-def _path_parity_ok(path: Edgepath) -> bool:
-    verts = path.vertices
+def _single_parity_class(verts: Sequence[Frac]) -> bool:
+    """Whether every edge along the vertex sequence has one mod-2 class."""
     classes = {_edge_parity(a, b) for a, b in zip(verts, verts[1:])}
     return len(classes) == 1
 
@@ -465,37 +469,54 @@ def is_seifert_candidate(system: EdgepathSystem) -> bool:
     whose penultimate vertex is an odd integer is even."""
     if system.system_type != "III":
         return False
-    if not all(_path_parity_ok(p) for p in system.paths):
+    if not all(_single_parity_class(p.vertices) for p in system.paths):
         return False
     odd = sum(1 for p in system.paths if penultimate_vertex(p).num % 2 != 0)
     return odd % 2 == 0
 
 
-def _system_twist(system: EdgepathSystem) -> Frac:
-    total = Frac(0)
-    for p in system.paths:
-        total = total + p.twist()
-    return total
+@dataclass(frozen=True)
+class _ReferencePath:
+    """A maximal skeleton of a single mod-2 class, built once: its path,
+    twist, sort label and whether its penultimate vertex is odd."""
+
+    path: Edgepath
+    twist: Frac
+    label: str
+    odd: bool
+
+
+def _reference_paths(tangle: Frac) -> list[_ReferencePath]:
+    out = []
+    for sk in enumerate_skeletons(tangle):
+        if sk.constant or not sk.is_maximal or not _single_parity_class(sk.vertices):
+            continue
+        path = sk.to_edgepath(None)
+        out.append(_ReferencePath(path, path.twist(), str(sk), sk.vertices[-2].num % 2 != 0))
+    return out
 
 
 def find_seifert_system(knot: MontesinosKnot) -> EdgepathSystem:
     """The slope-zero reference system: the first type III system passing
     both parity conditions. All passing systems must agree on the twist;
-    disagreement or absence is an error, never silently resolved."""
-    skeletons = [enumerate_skeletons(f) for f in knot.tangles]
-    maximal = [[sk for sk in sks if not sk.constant and sk.is_maximal] for sks in skeletons]
-    candidates = []
-    for combo in product(*maximal):
-        paths = tuple(ch.to_edgepath(None) for ch in combo)
-        system = EdgepathSystem(knot, paths, Frac(-1))
-        if is_seifert_candidate(system):
-            candidates.append(system)
+    disagreement or absence is an error, never silently resolved.
+
+    The single-class condition is per path, so each tangle's maximal
+    skeletons are filtered before the product, and only the product of the
+    survivors is walked, counting odd penultimate vertices. "First" is the
+    system order, which for type III systems is the order of the rendered
+    paths; a maximal skeleton renders as its path does.
+    """
+    per_tangle = [_reference_paths(f) for f in knot.tangles]
+    candidates = [
+        combo for combo in product(*per_tangle) if sum(ref.odd for ref in combo) % 2 == 0
+    ]
     if not candidates:
         raise SeifertReferenceError(f"no Seifert reference for {knot}")
-    candidates.sort(key=lambda s: s._sort_key())
-    twists = {_system_twist(s) for s in candidates}
+    twists = {sum((ref.twist for ref in combo), Frac(0)) for combo in candidates}
     if len(twists) > 1:
         raise SeifertReferenceError(
             f"ambiguous reference for {knot}: twists {sorted(map(str, twists))}"
         )
-    return candidates[0]
+    first = min(candidates, key=lambda combo: tuple(ref.label for ref in combo))
+    return EdgepathSystem(knot, tuple(ref.path for ref in first), Frac(-1))

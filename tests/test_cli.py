@@ -187,6 +187,32 @@ def test_seifert_json(capsys):
     assert len(payload["paths"]) == 3
 
 
+def test_enumerate_deep_tangle(capsys):
+    # a 1001-edge path: deeper than the default recursion limit
+    code, out, _ = run_cli(capsys, "enumerate", "-1/2,2/5,1/1001")
+    assert code == 0
+    slopes = [line.split()[0] for line in out.splitlines()[1:] if " I " in line]
+    assert "2000000/1001" in slopes and "993007/497" in slopes
+
+
+def test_internal_invariant_exit_code(capsys, monkeypatch):
+    import montesinos.cli as cli_module
+    from montesinos.surfaces import IntegrityError
+    from montesinos.systems import DegenerateSystemError
+
+    errors = (IntegrityError("non-integral Euler characteristic 1/2"), DegenerateSystemError("degenerate"))
+    for error in errors:
+
+        def broken(systems, reference, error=error):
+            raise error
+
+        monkeypatch.setattr(cli_module, "build_reports", broken)
+        code, out, err = run_cli(capsys, "enumerate", "-1/2,2/5,1/11")
+        assert code == cli_module.EXIT_INTERNAL == 4
+        assert out == ""
+        assert err == f"error: {error}\n"
+
+
 def test_cross_check_flag(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--cross-check", "-1/2,2/5,1/11")
     assert code == 0

@@ -14,6 +14,8 @@ from montesinos import (
     edge_sign,
     edge_twist,
     enumerate_skeletons,
+    farey_parents,
+    is_farey_edge,
     path_from_vertices,
 )
 
@@ -73,6 +75,43 @@ def test_constant_marker_first_and_deterministic_order():
     assert skels == again
     moving = [s.vertices for s in skels if not s.constant]
     assert moving == sorted(moving)
+
+
+def recursive_sorted_skeletons(tangle):
+    """Vertex sequences from a recursive descent followed by a sort: the
+    reference order the iterative walk must reproduce."""
+    found = []
+
+    def descend(prefix):
+        found.append(prefix)
+        cur = prefix[-1]
+        if cur.is_infinite:
+            return
+        nxt = [INF] if cur.is_integer else list(farey_parents(cur))
+        if len(prefix) >= 2:
+            back = prefix[-2]
+            nxt = [y for y in nxt if y != back and not is_farey_edge(back, y)]
+        for y in nxt:
+            descend(prefix + (y,))
+
+    descend((tangle,))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("tangle", ["1/11", "2/5", "-5/13", "13/34"])
+def test_skeleton_order_matches_recursive_sorted_descent(tangle):
+    moving = [s.vertices for s in enumerate_skeletons(fr(tangle)) if not s.constant]
+    assert moving == recursive_sorted_skeletons(fr(tangle))
+
+
+def test_deep_tangle_descends_without_recursion():
+    n = 5001
+    skels = enumerate_skeletons(Frac(1, n))
+    assert len(skels) == 5005
+    moving = [s.vertices for s in skels[1:]]
+    assert moving == sorted(moving)
+    # the chain through every 1/k is the last branch, so it comes last
+    assert moving[-1] == tuple(Frac(1, k) for k in range(n, 0, -1)) + (INF,)
 
 
 small_tangles = st.builds(
