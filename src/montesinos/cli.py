@@ -11,16 +11,18 @@ Knots are written as comma-separated fractions, e.g. "-1/2,2/5,1/11".
 Output is byte-deterministic for a fixed invocation. Exit codes: 0 ok,
 1 verification failure, 2 usage or parse error, 3 combination cap hit,
 4 internal invariant failure (a report identity broke, or a degenerate
-endpoint solve escaped its handler).
+endpoint solve escaped its handler), 141 stdout closed early (e.g. by
+``| head``).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import os
 import sys
+from itertools import groupby, product
 
 from .bruteforce import brute_force_endpoints, normalize_weight_vector
 from .rationals import Frac, decimal_str
@@ -30,39 +32,38 @@ from .systems import (
     DegenerateSystemError,
     MontesinosKnot,
     SeifertReferenceError,
-    enumerate_systems_with_diagnostics,
     find_seifert_system,
     solve_endpoints,
     solver_choices,
 )
-from .surfaces import CSV_COLUMNS, IntegrityError, build_reports, system_twist
+from .surfaces import CSV_COLUMNS, IntegrityError, analyze, system_twist
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
 DEFAULT_TYPES = ("I", "III")
 
 
 def _knot_reports(spec: str, include_types, cap: int, dedupe: bool):
     knot = MontesinosKnot.parse(spec)
-    systems, diagnostics = enumerate_systems_with_diagnostics(knot, cap)
-    reference = find_seifert_system(knot)
-    reports = build_reports(systems, reference)
+    reports, reference_twist, diagnostics = analyze(knot, cap)
     reports = [r for r in reports if r.system.system_type in include_types]
     if dedupe:
-        seen = set()
-        kept = []
-        for r in reports:
-            if r.slope not in seen:
-                seen.add(r.slope)
-                kept.append(r)
-        reports = kept
+        # reports are sorted by slope: keep the first of each run
+        reports = [next(run) for _, run in groupby(reports, key=lambda r: r.slope)]
     for d in diagnostics:
         print(f"note: {d.kind}: {d.detail}", file=sys.stderr)
-    return knot, reference, reports
+    return knot, reference_twist, reports
+
+
+def _print_csv(header, rows):
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def _emit_reports(reports, fmt: str):
@@ -70,12 +71,7 @@ def _emit_reports(reports, fmt: str):
         print(json.dumps([r.to_dict() for r in reports], indent=2))
         return
     if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for r in reports:
-            writer.writerow(r.to_csv_row())
-        print(buffer.getvalue(), end="")
+        _print_csv(CSV_COLUMNS, [r.to_csv_row() for r in reports])
         return
     header = f"{'slope':>12} {'type':<4} {'twist':>8} {'sheets':>6} {'euler':>5} {'bdry':>4} {'essential':<12} seifert"
     print(header)
@@ -94,11 +90,7 @@ def _emit_reports(reports, fmt: str):
 def _cross_check(knot: MontesinosKnot, m_max: int = 64) -> int:
     """Diff the exact solver against the integer-weight scan; the number
     of mismatching combinations is returned."""
-    from itertools import product
-
-    from .edgepaths import enumerate_skeletons
-
-    per_tangle = [solver_choices(enumerate_skeletons(f)) for f in knot.tangles]
+    per_tangle = [solver_choices(sks) for sks in knot.skeletons]
     checked = mismatched = 0
     for combo in product(*per_tangle):
         if all(ch.constant for ch in combo):
@@ -145,10 +137,7 @@ def expected_family_gap(n: int) -> Frac:
 
 def verify_family_row(n: int, cap: int = DEFAULT_COMBINATION_CAP) -> dict:
     """One family check; the row carries pass/fail and the failed fields."""
-    knot = family_knot(n)
-    systems, _ = enumerate_systems_with_diagnostics(knot, cap)
-    reference = find_seifert_system(knot)
-    reports = build_reports(systems, reference)
+    reports, ref_twist, _ = analyze(family_knot(n), cap)
     slope_small, slope_big = expected_family_slopes(n)
     failures = []
 
@@ -161,7 +150,6 @@ def verify_family_row(n: int, cap: int = DEFAULT_COMBINATION_CAP) -> dict:
         failures.append("slope_small")
     if not any(r.essential == "proven" and r.essential_reason == "constant-path" for r in big):
         failures.append("slope_big")
-    ref_twist = system_twist(reference)
     if ref_twist != 4 - 2 * n:
         failures.append("reference_twist")
     ref_reports = [r for r in reports if r.seifert_flag]
@@ -203,11 +191,9 @@ def cmd_verify_family(args) -> int:
     if args.format == "json":
         print(json.dumps(rows, indent=2))
     elif args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["n", "pass", "slope_small", "slope_big", "gap", "reference_twist", "failures"])
-        for row in rows:
-            writer.writerow(
+        _print_csv(
+            ["n", "pass", "slope_small", "slope_big", "gap", "reference_twist", "failures"],
+            [
                 [
                     row["n"],
                     "true" if row["pass"] else "false",
@@ -217,8 +203,9 @@ def cmd_verify_family(args) -> int:
                     row["reference_twist"],
                     ";".join(row["failures"]),
                 ]
-            )
-        print(buffer.getvalue(), end="")
+                for row in rows
+            ],
+        )
     else:
         for row in rows:
             status = "PASS" if row["pass"] else "FAIL " + ",".join(row["failures"])
@@ -351,6 +338,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the flush at
+        # interpreter exit does not raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

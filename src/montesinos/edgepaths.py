@@ -170,16 +170,6 @@ class Edgepath:
         return " - ".join(parts)
 
 
-def classify_type(path: Edgepath) -> str:
-    """"I", "II" or "III" by the sign of the final u-coordinate."""
-    u0 = path.u0
-    if u0 > 0:
-        return "I"
-    if u0 == 0:
-        return "II"
-    return "III"
-
-
 def path_from_vertices(tangle: Frac, vertices, final_weight: Frac | None = None) -> Edgepath:
     """Build a moving path through the given vertex values (right to left).
 

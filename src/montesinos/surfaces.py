@@ -29,7 +29,15 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .rationals import Frac
-from .systems import EdgepathSystem, is_seifert_candidate
+from .systems import (
+    DEFAULT_COMBINATION_CAP,
+    Diagnostic,
+    EdgepathSystem,
+    MontesinosKnot,
+    enumerate_systems_with_diagnostics,
+    find_seifert_system,
+    is_seifert_candidate,
+)
 
 
 class IntegrityError(Exception):
@@ -42,12 +50,6 @@ def system_twist(system: EdgepathSystem) -> Frac:
     for path in system.paths:
         total = total + path.twist()
     return total
-
-
-def boundary_slope(system: EdgepathSystem, reference: EdgepathSystem) -> Frac:
-    if not is_seifert_candidate(reference):
-        raise ValueError("reference system fails the Seifert parity conditions")
-    return system_twist(system) - system_twist(reference)
 
 
 def _constant_weight(path, common_u: Frac) -> Frac:
@@ -217,10 +219,20 @@ def build_report(system: EdgepathSystem, reference_twist: Frac) -> SurfaceReport
     )
 
 
-def build_reports(systems, reference: EdgepathSystem) -> list[SurfaceReport]:
-    """Reports for all systems against one reference, sorted by slope then
-    system type."""
-    ref_twist = system_twist(reference)
-    reports = [build_report(s, ref_twist) for s in systems]
+def build_reports(systems, reference_twist: Frac) -> list[SurfaceReport]:
+    """Reports for all systems against the reference twist, sorted by
+    slope then system type."""
+    reports = [build_report(s, reference_twist) for s in systems]
     reports.sort(key=lambda r: (r.slope, r.system.system_type))
     return reports
+
+
+def analyze(
+    knot: MontesinosKnot, cap: int = DEFAULT_COMBINATION_CAP
+) -> tuple[list[SurfaceReport], Frac, list[Diagnostic]]:
+    """The whole computation for one knot: the reports of every candidate
+    system (the cap is checked first), the Seifert reference twist they
+    are measured against, and the enumeration's diagnostics."""
+    systems, diagnostics = enumerate_systems_with_diagnostics(knot, cap)
+    reference_twist = system_twist(find_seifert_system(knot))
+    return build_reports(systems, reference_twist), reference_twist, diagnostics

@@ -37,13 +37,15 @@ two parity conditions on the reduced mod-2 vertex labels. The first, a
 single mod-2 edge class, is a condition on each path alone, so the search
 filters every tangle's maximal skeletons by it before taking the product,
 builds each surviving path once, and only counts odd penultimate vertices
-per combination.
+per combination. Both the enumeration and the search read the knot's
+skeletons, which are enumerated once per knot.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Sequence
 
@@ -109,6 +111,12 @@ class MontesinosKnot:
 
     def __str__(self) -> str:
         return f"M({', '.join(str(f) for f in self.tangles)})"
+
+    @cached_property
+    def skeletons(self) -> tuple[tuple[PathSkeleton, ...], ...]:
+        """Each tangle's skeletons, enumerated once per knot and shared by
+        the system enumeration and the Seifert search."""
+        return tuple(tuple(enumerate_skeletons(f)) for f in self.tangles)
 
 
 # -- endpoint solving --------------------------------------------------------
@@ -304,12 +312,11 @@ def enumerate_systems_with_diagnostics(
     vertical direction permits it (any other split along vertical edges
     yields the same twist, hence the same slope). Type III systems are all combinations of maximal skeletons.
     """
-    per_tangle = [enumerate_skeletons(f) for f in knot.tangles]
+    per_tangle = knot.skeletons
     solvable = [solver_choices(sks) for sks in per_tangle]
-    maximal = [[sk for sk in sks if not sk.constant and sk.is_maximal] for sks in per_tangle]
+    maximal = [[sk for sk in sks if sk.is_maximal] for sks in per_tangle]
     arrivals = [
-        [sk for sk in sks if not sk.constant and sk.n_edges >= 1 and sk.final_left.is_integer]
-        for sks in per_tangle
+        [sk for sk in sks if sk.n_edges >= 1 and sk.final_left.is_integer] for sks in per_tangle
     ]
 
     total = 0
@@ -486,10 +493,10 @@ class _ReferencePath:
     odd: bool
 
 
-def _reference_paths(tangle: Frac) -> list[_ReferencePath]:
+def _reference_paths(skeletons: Sequence[PathSkeleton]) -> list[_ReferencePath]:
     out = []
-    for sk in enumerate_skeletons(tangle):
-        if sk.constant or not sk.is_maximal or not _single_parity_class(sk.vertices):
+    for sk in skeletons:
+        if not sk.is_maximal or not _single_parity_class(sk.vertices):
             continue
         path = sk.to_edgepath(None)
         out.append(_ReferencePath(path, path.twist(), str(sk), sk.vertices[-2].num % 2 != 0))
@@ -507,7 +514,7 @@ def find_seifert_system(knot: MontesinosKnot) -> EdgepathSystem:
     system order, which for type III systems is the order of the rendered
     paths; a maximal skeleton renders as its path does.
     """
-    per_tangle = [_reference_paths(f) for f in knot.tangles]
+    per_tangle = [_reference_paths(sks) for sks in knot.skeletons]
     candidates = [
         combo for combo in product(*per_tangle) if sum(ref.odd for ref in combo) % 2 == 0
     ]

@@ -76,7 +76,7 @@ def family_reports():
         k = family_knot(n)
         systems = enumerate_systems(k)
         reference = find_seifert_system(k)
-        out[n] = (k, systems, reference, build_reports(systems, reference))
+        out[n] = (k, systems, reference, build_reports(systems, system_twist(reference)))
     return out
 
 
@@ -119,7 +119,7 @@ def test_criterion_3_gap(family_rows):
     assert all(a > b for a, b in zip(gaps, gaps[1:])), "gap sequence not decreasing"
     for n in (47, 49):
         k = family_knot(n)
-        reports = build_reports(enumerate_systems(k), find_seifert_system(k))
+        reports = build_reports(enumerate_systems(k), system_twist(find_seifert_system(k)))
         small, big = expected_family_slopes(n)
         slopes = {r.slope for r in reports}
         assert small in slopes and big in slopes
@@ -139,7 +139,7 @@ def test_criterion_4_surface_invariants(family_rows):
     # spot-check the identities directly at n = 11 and 13
     for n in (11, 13):
         k = family_knot(n)
-        reports = build_reports(enumerate_systems(k), find_seifert_system(k))
+        reports = build_reports(enumerate_systems(k), system_twist(find_seifert_system(k)))
         small, big = expected_family_slopes(n)
         r_small = next(r for r in reports if r.slope == small)
         r_big = next(r for r in reports if r.slope == big)

@@ -1,10 +1,15 @@
 """Command-line behaviour: formats, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
 
+import montesinos
+import montesinos.systems as systems_module
 from montesinos.cli import main
 
 
@@ -38,9 +43,11 @@ def test_enumerate_rejects_bad_fraction(capsys):
 
 
 def test_enumerate_cap_exit_code(capsys):
-    code, _, err = run_cli(capsys, "enumerate", "--cap", "3", "-1/2,2/5,1/11")
-    assert code == 3
-    assert "cap" in err
+    # 1/3,1/3,1/3 has no Seifert reference: the cap is still checked first
+    for spec in ("-1/2,2/5,1/11", "1/3,1/3,1/3"):
+        code, _, err = run_cli(capsys, "enumerate", "--cap", "3", spec)
+        assert code == 3
+        assert "cap" in err
 
 
 def test_enumerate_default_types_and_all_types(capsys):
@@ -197,16 +204,17 @@ def test_enumerate_deep_tangle(capsys):
 
 def test_internal_invariant_exit_code(capsys, monkeypatch):
     import montesinos.cli as cli_module
+    import montesinos.surfaces as surfaces_module
     from montesinos.surfaces import IntegrityError
     from montesinos.systems import DegenerateSystemError
 
     errors = (IntegrityError("non-integral Euler characteristic 1/2"), DegenerateSystemError("degenerate"))
     for error in errors:
 
-        def broken(systems, reference, error=error):
+        def broken(systems, reference_twist, error=error):
             raise error
 
-        monkeypatch.setattr(cli_module, "build_reports", broken)
+        monkeypatch.setattr(surfaces_module, "build_reports", broken)
         code, out, err = run_cli(capsys, "enumerate", "-1/2,2/5,1/11")
         assert code == cli_module.EXIT_INTERNAL == 4
         assert out == ""
@@ -219,11 +227,56 @@ def test_cross_check_flag(capsys):
     assert "0 mismatches" in err
 
 
+def _cli_env():
+    # the child imports this checkout's package whether or not it is installed
+    src = str(Path(montesinos.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "montesinos.cli", "verify-family", "--from", "11"],
         capture_output=True,
         text=True,
+        env=_cli_env(),
     )
     assert proc.returncode == 0
     assert "n=11 PASS" in proc.stdout
+
+
+def test_early_stdout_close_exits_141_without_traceback():
+    # about 97 kB of JSON, more than a pipe buffers, so the child is still
+    # writing when the reader goes away
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "montesinos.cli", "enumerate", "--json", "--all-types", "3/7,-5/13,8/21"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_cli_env(),
+    )
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 141
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (("enumerate", "-1/2,2/5,1/11"), 3),
+        (("verify-family", "--from", "11", "--to", "13"), 6),
+        (("seifert", "-1/2,2/5,1/11"), 3),
+    ],
+)
+def test_skeletons_are_enumerated_once_per_tangle(capsys, monkeypatch, argv, calls):
+    real = systems_module.enumerate_skeletons
+    tangles = []
+
+    def counted(tangle):
+        tangles.append(tangle)
+        return real(tangle)
+
+    monkeypatch.setattr(systems_module, "enumerate_skeletons", counted)
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(tangles) == calls

@@ -8,7 +8,6 @@ from montesinos import (
     INF,
     Frac,
     SignedEdge,
-    classify_type,
     constant_path,
     diagram_edge,
     edge_sign,
@@ -189,17 +188,15 @@ def test_twist_negation_symmetry(tangle):
 
 def test_classification():
     type_one = path_from_vertices(fr("-1/2"), [fr("-1/2"), fr("-1")], Frac(1, 11))
-    assert classify_type(type_one) == "I"
     assert type_one.u0 == fr("10/21")
     type_three = path_from_vertices(fr("-1/2"), [fr("-1/2"), fr("-1"), INF])
-    assert classify_type(type_three) == "III"
+    assert type_three.u0 < 0
     type_two = path_from_vertices(fr("2/5"), [fr("2/5"), fr("1/2"), fr("0")])
-    assert classify_type(type_two) == "II"
+    assert type_two.u0 == 0
 
 
 def test_constant_path_is_type_one():
     path = constant_path(fr("-1/2"), fr("4/7"))
-    assert classify_type(path) == "I"
     assert path.endpoint_uv() == (fr("5/7"), fr("-1/2"))
 
 

@@ -63,9 +63,9 @@ def test_pretzel_333_is_refused():
 def test_disagreeing_twists_are_refused(monkeypatch):
     real = systems_module._reference_paths
 
-    def doubled(tangle):
+    def doubled(skeletons):
         # a second copy of every surviving path, claiming another twist
-        refs = real(tangle)
+        refs = real(skeletons)
         return refs + [
             systems_module._ReferencePath(r.path, r.twist + 1, r.label + "'", r.odd) for r in refs
         ]

@@ -7,7 +7,6 @@ import pytest
 from montesinos import (
     Frac,
     boundary_component_count,
-    boundary_slope,
     build_reports,
     enumerate_systems,
     essentiality,
@@ -27,7 +26,7 @@ def k11():
     k = knot("-1/2,2/5,1/11")
     systems = enumerate_systems(k)
     reference = find_seifert_system(k)
-    reports = build_reports(systems, reference)
+    reports = build_reports(systems, system_twist(reference))
     return k, systems, reference, reports
 
 
@@ -47,19 +46,16 @@ def test_system_twists(k11):
 
 
 def test_boundary_slopes(k11):
-    _, systems, reference, _ = k11
+    _, systems, _, reports = k11
     gamma = _by_paths(systems, "(1/11)<-1>")
     gamma_prime = _by_paths(systems, "(4/7)<-1/2>")
-    assert boundary_slope(gamma, reference) == fr("200/11")
-    assert boundary_slope(gamma_prime, reference) == fr("37/2")
-    assert boundary_slope(reference, reference) == 0
 
+    def slope_of(system):
+        return next(r.slope for r in reports if r.system is system)
 
-def test_boundary_slope_requires_parity_reference(k11):
-    _, systems, _, _ = k11
-    gamma = _by_paths(systems, "(1/11)<-1>")
-    with pytest.raises(ValueError):
-        boundary_slope(gamma, gamma)
+    assert slope_of(gamma) == fr("200/11")
+    assert slope_of(gamma_prime) == fr("37/2")
+    assert [r.slope for r in reports if r.seifert_flag] == [0]
 
 
 def test_sheet_counts(k11):
