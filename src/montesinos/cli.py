@@ -11,7 +11,8 @@ Knots are written as comma-separated fractions, e.g. "-1/2,2/5,1/11".
 Output is byte-deterministic for a fixed invocation. Exit codes: 0 ok,
 1 verification failure, 2 usage or parse error, 3 combination cap hit,
 4 internal invariant failure (a report identity broke, or a degenerate
-endpoint solve escaped its handler), 141 stdout closed early (e.g. by
+endpoint solve escaped its handler), 5 no usable Seifert reference (none,
+or several with unequal twists), 141 stdout closed early (e.g. by
 ``| head``).
 """
 
@@ -35,14 +36,16 @@ from .systems import (
     find_seifert_system,
     solve_endpoints,
     solver_choices,
+    system_twist,
 )
-from .surfaces import CSV_COLUMNS, IntegrityError, analyze, system_twist
+from .surfaces import CSV_COLUMNS, IntegrityError, analyze
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_INTERNAL = 4
+EXIT_NO_REFERENCE = 5
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
 DEFAULT_TYPES = ("I", "III")
@@ -50,14 +53,14 @@ DEFAULT_TYPES = ("I", "III")
 
 def _knot_reports(spec: str, include_types, cap: int, dedupe: bool):
     knot = MontesinosKnot.parse(spec)
-    reports, reference_twist, diagnostics = analyze(knot, cap)
+    reports, _, diagnostics = analyze(knot, cap)
     reports = [r for r in reports if r.system.system_type in include_types]
     if dedupe:
         # reports are sorted by slope: keep the first of each run
         reports = [next(run) for _, run in groupby(reports, key=lambda r: r.slope)]
     for d in diagnostics:
         print(f"note: {d.kind}: {d.detail}", file=sys.stderr)
-    return knot, reference_twist, reports
+    return knot, reports
 
 
 def _print_csv(header, rows):
@@ -116,7 +119,7 @@ def _cross_check(knot: MontesinosKnot, m_max: int = 64) -> int:
 
 def cmd_enumerate(args) -> int:
     include = ("I", "II", "III") if args.all_types else DEFAULT_TYPES
-    knot, _, reports = _knot_reports(args.knot, include, args.cap, args.dedupe)
+    knot, reports = _knot_reports(args.knot, include, args.cap, args.dedupe)
     if args.cross_check and _cross_check(knot):
         return EXIT_VERIFY_FAILED
     _emit_reports(reports, args.format)
@@ -218,7 +221,7 @@ def cmd_verify_family(args) -> int:
 
 def cmd_pair_gap(args) -> int:
     include = ("I", "II", "III") if args.all_types else DEFAULT_TYPES
-    _, _, reports = _knot_reports(args.knot, include, args.cap, dedupe=False)
+    _, reports = _knot_reports(args.knot, include, args.cap, dedupe=False)
     slopes = sorted({r.slope for r in reports})
     if len(slopes) < 2:
         if args.format == "json":
@@ -331,7 +334,7 @@ def main(argv=None) -> int:
         return EXIT_CAP
     except SeifertReferenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
+        return EXIT_NO_REFERENCE
     except (IntegrityError, DegenerateSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -13,7 +13,14 @@ u-coordinate (positive, zero, negative). Each non-boundary edge strictly
 right of the v-axis gets a sign: +1 if v increases leftward along it, -1
 if it decreases; its twist is -2 * sign * length, where a full edge has
 length 1 and a partial edge traversed fraction t has length t. Horizontal
-edges, vertical edges and edges to <inf> have no sign and twist 0.
+edges, vertical edges and edges to <inf> have no sign and twist 0. Only
+the final edge can be partial, so a path's twist and length have the
+closed forms
+
+    twist  = -2 * (sum of the full edges' signs + final sign * t)
+    length = (number of full edges) + t
+
+with t = 1 for a path ending at a vertex.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from .farey import (
 from .rationals import INF, Frac
 
 
-# -- signs, lengths, twists ------------------------------------------------
+# -- signs -------------------------------------------------------------------
 
 
 def edge_sign(edge: Edge) -> int | None:
@@ -41,19 +48,6 @@ def edge_sign(edge: Edge) -> int | None:
     if edge.kind != "farey":
         return None
     return 1 if edge.end.value > edge.start.value else -1
-
-
-@dataclass(frozen=True)
-class SignedEdge:
-    edge: Edge
-    sign: int | None
-    length: Frac
-
-
-def edge_twist(step: SignedEdge) -> Frac:
-    if step.sign is None:
-        return Frac(0)
-    return Frac(-2) * step.sign * step.length
 
 
 # -- edgepaths ---------------------------------------------------------------
@@ -124,27 +118,22 @@ class Edgepath:
     def u0(self) -> Frac:
         return self.endpoint_uv()[0]
 
-    def signed_steps(self) -> tuple[SignedEdge, ...]:
-        out = []
-        for i, edge in enumerate(self.steps):
-            last = i == len(self.steps) - 1
-            length = self.final_weight if (last and self.final_weight is not None) else Frac(1)
-            out.append(SignedEdge(edge, edge_sign(edge), length))
-        return tuple(out)
-
     def twist(self) -> Frac:
-        total = Frac(0)
-        for step in self.signed_steps():
-            total = total + edge_twist(step)
-        return total
+        """-2 * (the full edges' signs + the final sign * final weight),
+        unsigned edges counting 0. Constant paths have twist 0."""
+        signs = [edge_sign(edge) or 0 for edge in self.steps]
+        t = self.final_weight
+        if t is None:
+            return Frac(-2 * sum(signs))
+        # -2 * (full + last * t) over the weight's denominator: one Frac
+        return Frac(-2 * (sum(signs[:-1]) * t.den + signs[-1] * t.num), t.den)
 
     def length(self) -> Frac:
         """Total traversed length (full edges count 1, the partial final
         edge its weight). Constant paths have length 0."""
-        total = Frac(0)
-        for step in self.signed_steps():
-            total = total + step.length
-        return total
+        if self.final_weight is None:
+            return Frac(len(self.steps))
+        return self.final_weight + (len(self.steps) - 1)
 
     def last_sign(self) -> int | None:
         if self.is_constant:
@@ -206,10 +195,6 @@ class PathSkeleton:
     @property
     def n_edges(self) -> int:
         return len(self.vertices) - 1
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.constant and self.n_edges == 0
 
     @property
     def is_maximal(self) -> bool:

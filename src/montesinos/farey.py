@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rationals import INF, Frac
+from .rationals import Frac
 
 
 def is_farey_edge(a: Frac, b: Frac) -> bool:
@@ -73,12 +73,6 @@ class Vertex:
         if self.kind == "circle" and self.value.is_infinite:
             raise ValueError("no boundary vertex at infinity")
 
-    @property
-    def kind_label(self) -> str:
-        if self.kind == "angle" and self.value.is_infinite:
-            return "infinity"
-        return self.kind
-
     def __str__(self) -> str:
         suffix = "o" if self.kind == "circle" else ""
         return f"<{self.value}>{suffix}"
@@ -90,9 +84,6 @@ def angle(f: Frac) -> Vertex:
 
 def circle(f: Frac) -> Vertex:
     return Vertex("circle", f)
-
-
-INFINITY_VERTEX = angle(INF)
 
 
 def vertex_u(v: Vertex) -> Frac:

@@ -37,19 +37,13 @@ from .systems import (
     enumerate_systems_with_diagnostics,
     find_seifert_system,
     is_seifert_candidate,
+    system_twist,
 )
 
 
 class IntegrityError(Exception):
     """An identity that must hold for every report failed: a bug or an
     input outside the machinery's stated scope."""
-
-
-def system_twist(system: EdgepathSystem) -> Frac:
-    total = Frac(0)
-    for path in system.paths:
-        total = total + path.twist()
-    return total
 
 
 def _constant_weight(path, common_u: Frac) -> Frac:

@@ -223,6 +223,14 @@ class EdgepathSystem:
         return (rank, self.render_paths())
 
 
+def system_twist(system: EdgepathSystem) -> Frac:
+    """The system's twist: the sum of its paths' twists."""
+    total = Frac(0)
+    for path in system.paths:
+        total = total + path.twist()
+    return total
+
+
 @dataclass(frozen=True)
 class Diagnostic:
     kind: str
@@ -310,7 +318,9 @@ def enumerate_systems_with_diagnostics(
     stopped at their v-axis arrival vertices: the integer displacement
     that zeroes the v-sum is absorbed by the first path whose allowed
     vertical direction permits it (any other split along vertical edges
-    yields the same twist, hence the same slope). Type III systems are all combinations of maximal skeletons.
+    yields the same twist, hence the same slope). Type III systems are
+    all combinations of maximal skeletons. Each arrival and maximal path
+    is built once and shared by every combination it appears in.
     """
     per_tangle = knot.skeletons
     solvable = [solver_choices(sks) for sks in per_tangle]
@@ -352,27 +362,25 @@ def enumerate_systems_with_diagnostics(
         if solution is not None:
             systems.append(_build_solved_system(knot, combo, solution))
 
-    for combo in product(*arrivals):
-        shift = -sum(ch.final_left.num for ch in combo)
+    built_arrivals = [[(ch, ch.to_edgepath()) for ch in options] for options in arrivals]
+    for combo in product(*built_arrivals):
+        shift = -sum(ch.final_left.num for ch, _ in combo)
         if shift == 0:
             continue  # already found by the solver with every weight at 1
         direction = 1 if shift > 0 else -1
         absorber = next(
-            (i for i, ch in enumerate(combo) if direction in _vertical_directions(ch)),
+            (i for i, (ch, _) in enumerate(combo) if direction in _vertical_directions(ch)),
             None,
         )
         if absorber is None:
             continue
-        paths = []
-        for i, ch in enumerate(combo):
-            if i == absorber:
-                paths.append(path_from_vertices(ch.tangle, _extended_vertices(ch, shift)))
-            else:
-                paths.append(ch.to_edgepath(None))
+        paths = [path for _, path in combo]
+        ch = combo[absorber][0]
+        paths[absorber] = path_from_vertices(ch.tangle, _extended_vertices(ch, shift))
         systems.append(EdgepathSystem(knot, tuple(paths), Frac(0)))
 
-    for combo in product(*maximal):
-        paths = tuple(ch.to_edgepath(None) for ch in combo)
+    built_maximal = [[ch.to_edgepath() for ch in options] for options in maximal]
+    for paths in product(*built_maximal):
         systems.append(EdgepathSystem(knot, paths, Frac(-1)))
 
     systems.sort(key=lambda s: s._sort_key())
@@ -482,25 +490,14 @@ def is_seifert_candidate(system: EdgepathSystem) -> bool:
     return odd % 2 == 0
 
 
-@dataclass(frozen=True)
-class _ReferencePath:
-    """A maximal skeleton of a single mod-2 class, built once: its path,
-    twist, sort label and whether its penultimate vertex is odd."""
-
-    path: Edgepath
-    twist: Frac
-    label: str
-    odd: bool
-
-
-def _reference_paths(skeletons: Sequence[PathSkeleton]) -> list[_ReferencePath]:
-    out = []
-    for sk in skeletons:
-        if not sk.is_maximal or not _single_parity_class(sk.vertices):
-            continue
-        path = sk.to_edgepath(None)
-        out.append(_ReferencePath(path, path.twist(), str(sk), sk.vertices[-2].num % 2 != 0))
-    return out
+def _reference_paths(skeletons: Sequence[PathSkeleton]) -> list[tuple[Edgepath, bool]]:
+    """Each maximal skeleton of a single mod-2 class as its path, built
+    once, and whether its penultimate vertex is odd."""
+    return [
+        (sk.to_edgepath(), sk.vertices[-2].num % 2 != 0)
+        for sk in skeletons
+        if sk.is_maximal and _single_parity_class(sk.vertices)
+    ]
 
 
 def find_seifert_system(knot: MontesinosKnot) -> EdgepathSystem:
@@ -512,18 +509,19 @@ def find_seifert_system(knot: MontesinosKnot) -> EdgepathSystem:
     skeletons are filtered before the product, and only the product of the
     survivors is walked, counting odd penultimate vertices. "First" is the
     system order, which for type III systems is the order of the rendered
-    paths; a maximal skeleton renders as its path does.
+    paths.
     """
     per_tangle = [_reference_paths(sks) for sks in knot.skeletons]
     candidates = [
-        combo for combo in product(*per_tangle) if sum(ref.odd for ref in combo) % 2 == 0
+        EdgepathSystem(knot, tuple(path for path, _ in combo), Frac(-1))
+        for combo in product(*per_tangle)
+        if sum(odd for _, odd in combo) % 2 == 0
     ]
     if not candidates:
         raise SeifertReferenceError(f"no Seifert reference for {knot}")
-    twists = {sum((ref.twist for ref in combo), Frac(0)) for combo in candidates}
+    twists = {system_twist(system) for system in candidates}
     if len(twists) > 1:
         raise SeifertReferenceError(
             f"ambiguous reference for {knot}: twists {sorted(map(str, twists))}"
         )
-    first = min(candidates, key=lambda combo: tuple(ref.label for ref in combo))
-    return EdgepathSystem(knot, tuple(ref.path for ref in first), Frac(-1))
+    return min(candidates, key=EdgepathSystem.render_paths)

@@ -29,7 +29,7 @@ from montesinos import (
     uv_coords,
     validate_system,
 )
-from montesinos import PartialPoint, diagram_edge
+from montesinos import PartialPoint, diagram_edge, edge_sign
 from montesinos.cli import (
     expected_family_gap,
     expected_family_slopes,
@@ -279,11 +279,7 @@ def test_criterion_7_structural():
             partial = Frac(0)
             for path in system.paths:
                 if not path.is_constant and path.final_weight is not None:
-                    from montesinos import SignedEdge, edge_sign, edge_twist
-
                     last = path.steps[-1]
-                    partial = partial + edge_twist(
-                        SignedEdge(last, edge_sign(last), path.final_weight)
-                    )
+                    partial = partial - 2 * edge_sign(last) * path.final_weight
             rest = system_twist(system) - partial
             assert rest.den == 1 and rest.num % 2 == 0

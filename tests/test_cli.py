@@ -170,8 +170,8 @@ def test_pair_gap_no_pair(capsys, monkeypatch):
     real = cli_module._knot_reports
 
     def only_first(spec, include, cap, dedupe):
-        knot, reference, reports = real(spec, include, cap, dedupe)
-        return knot, reference, reports[:1]
+        knot, reports = real(spec, include, cap, dedupe)
+        return knot, reports[:1]
 
     monkeypatch.setattr(cli_module, "_knot_reports", only_first)
     code, out, _ = run_cli(capsys, "pair-gap", "--json", "-1/2,2/5,1/11")
@@ -219,6 +219,17 @@ def test_internal_invariant_exit_code(capsys, monkeypatch):
         assert code == cli_module.EXIT_INTERNAL == 4
         assert out == ""
         assert err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("command", ["enumerate", "pair-gap", "seifert"])
+def test_no_reference_exit_code(capsys, command):
+    import montesinos.cli as cli_module
+
+    code, out, err = run_cli(capsys, command, "1/3,1/3,1/3")
+    assert code == cli_module.EXIT_NO_REFERENCE == 5
+    assert out == ""
+    assert err.startswith("error: no Seifert reference")
+    assert "Traceback" not in err
 
 
 def test_cross_check_flag(capsys):

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 from montesinos import (
     INF,
     Frac,
-    SignedEdge,
     constant_path,
     diagram_edge,
     edge_sign,
-    edge_twist,
     enumerate_skeletons,
     farey_parents,
     is_farey_edge,
@@ -153,18 +151,52 @@ def test_edge_signs():
 
 
 def test_edge_twists():
-    full = diagram_edge(fr("2/5"), fr("1/2"))
-    assert edge_twist(SignedEdge(full, edge_sign(full), Frac(1))) == Frac(-2)
-    partial = diagram_edge(fr("1/2"), fr("0"))
-    assert edge_twist(SignedEdge(partial, edge_sign(partial), Frac(1, 11))) == Frac(2, 11)
-    vertical = diagram_edge(fr("0"), fr("1"))
-    assert edge_twist(SignedEdge(vertical, edge_sign(vertical), Frac(1))) == Frac(0)
+    # a full edge adds -2 * sign, a partial one -2 * sign * t
+    assert path_from_vertices(fr("2/5"), [fr("2/5"), fr("1/2")]).twist() == Frac(-2)
+    assert path_from_vertices(fr("1/2"), [fr("1/2"), fr("0")], Frac(1, 11)).twist() == Frac(2, 11)
+    # vertical edges and edges to <inf> add nothing after the signed <1/2>-<1>
+    assert path_from_vertices(fr("1/2"), [fr("1/2"), fr("1")]).twist() == Frac(-2)
+    assert path_from_vertices(fr("1/2"), [fr("1/2"), fr("1"), fr("2")]).twist() == Frac(-2)
+    assert path_from_vertices(fr("1/2"), [fr("1/2"), fr("1"), INF]).twist() == Frac(-2)
+    const = constant_path(fr("-1/2"), fr("4/7"))
+    assert const.twist() == 0 and const.length() == 0
 
 
 def test_path_twist_is_sum_of_steps():
     path = path_from_vertices(fr("2/5"), [fr("2/5"), fr("1/2"), fr("0")], Frac(1, 11))
     assert path.twist() == Frac(-2) + Frac(2, 11)
     assert path.length() == 1 + Frac(1, 11)
+
+
+def twist_and_length_by_edge(path):
+    """Twist and length summed edge by edge from the vertex values, by the
+    definition: a full edge adds -2 * sign and length 1, a partial final
+    edge traversed t adds -2 * sign * t and length t. The sign is +1 when
+    the left vertex is the larger; edges to <inf> and edges between two
+    integers have none."""
+    verts = path.vertices
+    twist = length = Frac(0)
+    for i, (right, left) in enumerate(zip(verts, verts[1:])):
+        last = i == len(verts) - 2
+        t = path.final_weight if last and path.final_weight is not None else Frac(1)
+        if not left.is_infinite and not (left.is_integer and right.is_integer):
+            sign = 1 if left > right else -1
+            twist = twist - 2 * sign * t
+        length = length + t
+    return twist, length
+
+
+@given(small_tangles, st.data())
+def test_closed_form_twist_and_length_match_the_edge_sum(tangle, data):
+    moving = [sk for sk in enumerate_skeletons(tangle) if not sk.constant and sk.n_edges >= 1]
+    sk = data.draw(st.sampled_from(moving))
+    if sk.is_maximal:
+        weight = Frac(1)  # a path cannot stop part-way toward <inf>
+    else:
+        den = data.draw(st.integers(1, 12))
+        weight = Frac(data.draw(st.integers(1, den)), den)
+    path = sk.to_edgepath(weight)
+    assert (path.twist(), path.length()) == twist_and_length_by_edge(path)
 
 
 @given(small_tangles)

@@ -61,16 +61,11 @@ def test_pretzel_333_is_refused():
 
 
 def test_disagreeing_twists_are_refused(monkeypatch):
-    real = systems_module._reference_paths
+    def every_maximal(skeletons):
+        # drop the single-class filter: every maximal path is a candidate
+        return [(sk.to_edgepath(), sk.vertices[-2].num % 2 != 0) for sk in skeletons if sk.is_maximal]
 
-    def doubled(skeletons):
-        # a second copy of every surviving path, claiming another twist
-        refs = real(skeletons)
-        return refs + [
-            systems_module._ReferencePath(r.path, r.twist + 1, r.label + "'", r.odd) for r in refs
-        ]
-
-    monkeypatch.setattr(systems_module, "_reference_paths", doubled)
-    message = "ambiguous reference for M(-1/2, 2/5, 1/11): twists ['-15', '-16', '-17', '-18']"
+    monkeypatch.setattr(systems_module, "_reference_paths", every_maximal)
+    message = "ambiguous reference for M(-1/2, 2/5, 1/11): twists ['-14', '-18', '-26', '0', '4']"
     with pytest.raises(SeifertReferenceError, match=re.escape(message)):
         find_seifert_system(knot(family_spec(11)))

@@ -8,6 +8,7 @@ from montesinos import (
     Frac,
     boundary_component_count,
     build_reports,
+    edge_sign,
     enumerate_systems,
     essentiality,
     euler_characteristic_type_I,
@@ -189,11 +190,7 @@ def test_twist_parity(k11):
         partial = Frac(0)
         for path in system.paths:
             if not path.is_constant and path.final_weight is not None:
-                from montesinos import SignedEdge, edge_sign, edge_twist
-
                 last = path.steps[-1]
-                partial = partial + edge_twist(
-                    SignedEdge(last, edge_sign(last), path.final_weight)
-                )
+                partial = partial - 2 * edge_sign(last) * path.final_weight
         rest = system_twist(system) - partial
         assert rest.den == 1 and rest.num % 2 == 0
