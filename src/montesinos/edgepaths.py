@@ -8,6 +8,11 @@ along two sides of one triangle in succession (E2), and its u-coordinate
 never increases (E4). A path that is a single point on the horizontal edge
 is a constant edgepath.
 
+A path is stored as its Farey vertices, and its diagram edges are built
+from them only where validation reads them. The skeleton descent yields
+only leftward Farey neighbours; ``path_from_vertices`` builds every pair
+from elsewhere as a diagram edge, which rejects any other.
+
 A path is type I, II or III according to the sign of its final
 u-coordinate (positive, zero, negative). Each non-boundary edge strictly
 right of the v-axis gets a sign: +1 if v increases leftward along it, -1
@@ -42,12 +47,13 @@ from .rationals import INF, Frac
 # -- signs -------------------------------------------------------------------
 
 
-def edge_sign(edge: Edge) -> int | None:
-    """+1 / -1 for increasing / decreasing edges, None for the unsigned
-    kinds (horizontal, vertical, edges to <inf>)."""
-    if edge.kind != "farey":
+def edge_sign(right: Frac, left: Frac) -> int | None:
+    """The sign of the edge traversed from <right> to <left>: +1 / -1 when
+    v increases / decreases, None for the unsigned kinds (vertical edges
+    between integers, edges to <inf>)."""
+    if left.is_infinite or (left.is_integer and right.is_integer):
         return None
-    return 1 if edge.end.value > edge.start.value else -1
+    return 1 if left > right else -1
 
 
 # -- edgepaths ---------------------------------------------------------------
@@ -55,43 +61,40 @@ def edge_sign(edge: Edge) -> int | None:
 
 @dataclass(frozen=True)
 class Edgepath:
-    """One tangle's edgepath.
-
-    ``steps`` are edges in traversal order (right to left). A path that
-    stops part-way along its last edge stores the stopping weight in
-    ``final_weight``, strictly between 0 and 1; a path ending at a vertex
-    stores None (a solved weight of 1 is normalized to a fully traversed
-    final edge by ``path_from_vertices``). Constant paths have no steps and
-    store their point on the tangle's horizontal edge.
+    """One tangle's edgepath: its vertices in traversal order (right to
+    left) from the tangle vertex, each consecutive pair a leftward Farey
+    edge. A path that stops part-way along its last edge stores the
+    stopping weight in ``final_weight``, strictly between 0 and 1; a path
+    ending at a vertex stores None (``PathSkeleton.to_edgepath`` normalizes
+    a solved weight of 1 to a fully traversed final edge). Constant paths
+    have the tangle as their only vertex and store their point on the
+    tangle's horizontal edge.
     """
 
     tangle: Frac
-    steps: tuple[Edge, ...] = ()
+    vertices: tuple[Frac, ...]
     final_weight: Frac | None = None
     constant_point: PartialPoint | None = None
 
     def __post_init__(self):
         if self.tangle.is_infinite or self.tangle.is_integer:
             raise ValueError(f"tangle {self.tangle} is not a rational tangle")
+        if self.vertices[:1] != (self.tangle,):
+            raise ValueError("path must start at the tangle vertex")
         if self.constant_point is not None:
-            if self.steps or self.final_weight is not None:
+            if len(self.vertices) > 1 or self.final_weight is not None:
                 raise ValueError("constant path cannot have steps")
             edge = self.constant_point.edge
             if edge.kind != "horizontal" or edge.end.value != self.tangle:
                 raise ValueError("constant point off the tangle's horizontal edge")
             return
-        if not self.steps:
+        if len(self.vertices) < 2:
             raise ValueError("empty path: use a constant path instead")
-        if self.steps[0].start.value != self.tangle:
-            raise ValueError("path must start at the tangle vertex")
-        for a, b in zip(self.steps, self.steps[1:]):
-            if a.end != b.start:
-                raise ValueError("steps do not chain")
         if self.final_weight is not None:
             t = self.final_weight
             if not (0 < t < 1):
                 raise ValueError(f"final weight {t} outside (0, 1)")
-            if self.steps[-1].kind == "infinity":
+            if self.vertices[-1].is_infinite:
                 raise ValueError("cannot stop part-way toward <inf>")
 
     @property
@@ -99,17 +102,17 @@ class Edgepath:
         return self.constant_point is not None
 
     @property
-    def vertices(self) -> tuple[Frac, ...]:
-        if self.is_constant:
-            return (self.tangle,)
-        return (self.steps[0].start.value,) + tuple(s.end.value for s in self.steps)
+    def steps(self) -> tuple[Edge, ...]:
+        """The diagram edges in traversal order, built from the vertices."""
+        return tuple(map(diagram_edge, self.vertices, self.vertices[1:]))
 
     def endpoint(self):
         if self.is_constant:
             return self.constant_point
+        last = diagram_edge(*self.vertices[-2:])
         if self.final_weight is not None:
-            return PartialPoint(self.steps[-1], self.final_weight)
-        return self.steps[-1].end
+            return PartialPoint(last, self.final_weight)
+        return last.end
 
     def endpoint_uv(self) -> tuple[Frac, Frac]:
         return uv_coords(self.endpoint())
@@ -121,7 +124,7 @@ class Edgepath:
     def twist(self) -> Frac:
         """-2 * (the full edges' signs + the final sign * final weight),
         unsigned edges counting 0. Constant paths have twist 0."""
-        signs = [edge_sign(edge) or 0 for edge in self.steps]
+        signs = [s or 0 for s in map(edge_sign, self.vertices, self.vertices[1:])]
         t = self.final_weight
         if t is None:
             return Frac(-2 * sum(signs))
@@ -131,14 +134,15 @@ class Edgepath:
     def length(self) -> Frac:
         """Total traversed length (full edges count 1, the partial final
         edge its weight). Constant paths have length 0."""
+        edges = len(self.vertices) - 1
         if self.final_weight is None:
-            return Frac(len(self.steps))
-        return self.final_weight + (len(self.steps) - 1)
+            return Frac(edges)
+        return self.final_weight + (edges - 1)
 
     def last_sign(self) -> int | None:
         if self.is_constant:
             return None
-        return edge_sign(self.steps[-1])
+        return edge_sign(*self.vertices[-2:])
 
     def render(self) -> str:
         """Leftmost point first, then the vertices back to the start, e.g.
@@ -151,31 +155,26 @@ class Edgepath:
         if self.final_weight is not None:
             t = self.final_weight
             head = f"({t})<{verts[-1]}> + ({Frac(1) - t})<{verts[-2]}>"
-            tail = verts[:-1]
         else:
             head = f"<{verts[-1]}>"
-            tail = verts[:-1]
-        parts = [head] + [f"<{v}>" for v in reversed(tail)]
+        parts = [head] + [f"<{v}>" for v in reversed(verts[:-1])]
         return " - ".join(parts)
 
 
 def path_from_vertices(tangle: Frac, vertices, final_weight: Frac | None = None) -> Edgepath:
-    """Build a moving path through the given vertex values (right to left).
-
-    A final weight of 1 is normalized to a fully traversed last edge.
-    """
+    """Build a moving path through vertex values from outside the skeleton
+    descent (right to left). Every pair is built as a diagram edge, so one
+    that is not a leftward Farey edge raises ValueError. A final weight of
+    1 is normalized to a fully traversed last edge."""
     verts = tuple(vertices)
-    if len(verts) < 2:
-        raise ValueError("a moving path needs at least one edge")
-    steps = tuple(diagram_edge(a, b) for a, b in zip(verts, verts[1:]))
-    if final_weight is not None and final_weight == 1:
-        final_weight = None
-    return Edgepath(tangle=tangle, steps=steps, final_weight=final_weight)
+    for a, b in zip(verts, verts[1:]):
+        diagram_edge(a, b)
+    return PathSkeleton(tangle, verts).to_edgepath(final_weight)
 
 
 def constant_path(tangle: Frac, weight_on_vertex: Frac) -> Edgepath:
     point = PartialPoint(horizontal_edge(tangle), weight_on_vertex)
-    return Edgepath(tangle=tangle, constant_point=point)
+    return Edgepath(tangle, (tangle,), constant_point=point)
 
 
 # -- skeleton enumeration ----------------------------------------------------
@@ -211,7 +210,9 @@ class PathSkeleton:
     def to_edgepath(self, final_weight: Frac | None = None) -> Edgepath:
         if self.constant:
             raise ValueError("constant marker needs a solved weight")
-        return path_from_vertices(self.tangle, self.vertices, final_weight)
+        if final_weight == 1:
+            final_weight = None
+        return Edgepath(self.tangle, self.vertices, final_weight)
 
     def __str__(self) -> str:
         if self.constant:

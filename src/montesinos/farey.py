@@ -130,8 +130,6 @@ class Edge:
             return "horizontal"
         if self.end.value.is_infinite:
             return "infinity"
-        if self.start.value.is_integer and self.end.value.is_integer:
-            return "vertical"
         return "farey"
 
     def undirected(self) -> frozenset:

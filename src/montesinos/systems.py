@@ -54,7 +54,6 @@ from .edgepaths import (
     PathSkeleton,
     constant_path,
     enumerate_skeletons,
-    path_from_vertices,
 )
 from .farey import angle, is_farey_edge, same_triangle, uv_coords
 from .rationals import Frac
@@ -102,8 +101,7 @@ class MontesinosKnot:
 
     @classmethod
     def parse(cls, spec: str) -> "MontesinosKnot":
-        parts = [p for p in spec.split(",") if p.strip()]
-        return cls(tuple(Frac.parse(p) for p in parts))
+        return cls(tuple(Frac.parse(p) for p in spec.split(",")))
 
     @property
     def spec_string(self) -> str:
@@ -376,7 +374,7 @@ def enumerate_systems_with_diagnostics(
             continue
         paths = [path for _, path in combo]
         ch = combo[absorber][0]
-        paths[absorber] = path_from_vertices(ch.tangle, _extended_vertices(ch, shift))
+        paths[absorber] = Edgepath(ch.tangle, _extended_vertices(ch, shift))
         systems.append(EdgepathSystem(knot, tuple(paths), Frac(0)))
 
     built_maximal = [[ch.to_edgepath() for ch in options] for options in maximal]
@@ -408,7 +406,8 @@ class Violation:
 
 def validate_system(system: EdgepathSystem) -> Violation | None:
     """Check E1 through E4 from the stored paths alone, independently of
-    how the system was produced. Returns the first violation, or None."""
+    how the system was produced. Returns the first violation, or None.
+    Rebuilding a path's edges raises ValueError on a non-edge vertex pair."""
     # E1: start on the tangle's horizontal edge; moving paths start at <R_i>
     for i, path in enumerate(system.paths):
         if path.tangle != system.knot.tangles[i]:
@@ -423,7 +422,8 @@ def validate_system(system: EdgepathSystem) -> Violation | None:
             return Violation("E1", i, "moving path does not start at the tangle vertex")
     # E2: minimality
     for i, path in enumerate(system.paths):
-        for a, b in zip(path.steps, path.steps[1:]):
+        steps = path.steps
+        for a, b in zip(steps, steps[1:]):
             if a.undirected() == b.undirected():
                 return Violation("E2", i, f"step {b} retraces {a}")
             if same_triangle(a, b):

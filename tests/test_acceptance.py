@@ -279,7 +279,6 @@ def test_criterion_7_structural():
             partial = Frac(0)
             for path in system.paths:
                 if not path.is_constant and path.final_weight is not None:
-                    last = path.steps[-1]
-                    partial = partial - 2 * edge_sign(last) * path.final_weight
+                    partial = partial - 2 * edge_sign(*path.vertices[-2:]) * path.final_weight
             rest = system_twist(system) - partial
             assert rest.den == 1 and rest.num % 2 == 0

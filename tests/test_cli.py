@@ -40,6 +40,11 @@ def test_enumerate_rejects_bad_fraction(capsys):
     code, _, err = run_cli(capsys, "enumerate", "-1/2,2/x,1/11")
     assert code == 2
     assert "not a fraction" in err
+    # an empty field is a bad fraction, not a field to skip
+    for spec in ("1/3,,1/3,1/3", "1/3,1/3,1/3,", ",1/3,1/3,1/3"):
+        code, out, err = run_cli(capsys, "enumerate", spec)
+        assert (code, out) == (2, "")
+        assert "error: not a fraction: ''" in err
 
 
 def test_enumerate_cap_exit_code(capsys):

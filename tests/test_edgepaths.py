@@ -8,7 +8,6 @@ from montesinos import (
     INF,
     Frac,
     constant_path,
-    diagram_edge,
     edge_sign,
     enumerate_skeletons,
     farey_parents,
@@ -144,10 +143,10 @@ def test_integer_tangle_rejected():
 
 
 def test_edge_signs():
-    assert edge_sign(diagram_edge(fr("2/5"), fr("1/2"))) == 1
-    assert edge_sign(diagram_edge(fr("-1/2"), fr("-1"))) == -1
-    assert edge_sign(diagram_edge(fr("0"), INF)) is None
-    assert edge_sign(diagram_edge(fr("0"), fr("1"))) is None  # vertical
+    assert edge_sign(fr("2/5"), fr("1/2")) == 1
+    assert edge_sign(fr("-1/2"), fr("-1")) == -1
+    assert edge_sign(fr("0"), INF) is None
+    assert edge_sign(fr("0"), fr("1")) is None  # vertical
 
 
 def test_edge_twists():
@@ -257,6 +256,10 @@ def test_malformed_paths_rejected():
         path_from_vertices(fr("2/5"), [fr("2/5"), fr("1/2"), INF], Frac(1, 2))
     with pytest.raises(ValueError):
         path_from_vertices(fr("2/5"), [fr("2/5")])  # no edge
+    with pytest.raises(ValueError):
+        path_from_vertices(fr("2/5"), [fr("2/5"), fr("1/5")])  # not neighbours
+    with pytest.raises(ValueError):
+        path_from_vertices(fr("1/2"), [fr("1/2"), fr("2/5")])  # runs rightward
 
 
 def test_skeleton_str_and_helpers():

@@ -273,14 +273,9 @@ def test_validator_catches_triangle_run():
         path_from_vertices(fr("1/3"), [fr("1/3"), fr("1/2"), fr("1"), INF]),
     )
     # rebuild the last path with a triangle run 1/3 -> 1/2 -> 0
-    from montesinos import diagram_edge
     from montesinos.edgepaths import Edgepath
 
-    bad = Edgepath(
-        tangle=fr("1/3"),
-        steps=(diagram_edge(fr("1/3"), fr("1/2")), diagram_edge(fr("1/2"), fr("0")),
-               diagram_edge(fr("0"), INF)),
-    )
+    bad = Edgepath(tangle=fr("1/3"), vertices=(fr("1/3"), fr("1/2"), fr("0"), INF))
     system = EdgepathSystem(k, paths[:2] + (bad,), Frac(-1))
     violation = validate_system(system)
     assert violation is not None and violation.condition == "E2"
