@@ -134,6 +134,6 @@ def exhaustive_paths(tangle: Frac, max_edges: int) -> list[PathSkeleton]:
         all_paths.extend(grown)
         frontier = grown
     valid = sorted(p for p in all_paths if _is_minimal(p))
-    out = [PathSkeleton(tangle, (tangle,), constant=True), PathSkeleton(tangle, (tangle,))]
-    out.extend(PathSkeleton(tangle, verts) for verts in valid)
+    out = [PathSkeleton(tangle, constant=True), PathSkeleton(tangle)]
+    out.extend(PathSkeleton.from_vertices(tangle, verts) for verts in valid)
     return out

@@ -270,13 +270,14 @@ def cmd_seifert(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser, with_knot=True):
+def _add_common(parser, with_knot=True, with_cap=True):
     if with_knot:
         parser.add_argument("knot", help="comma-separated tangle fractions, e.g. -1/2,2/5,1/11")
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--json", dest="format", action="store_const", const="json")
     group.add_argument("--csv", dest="format", action="store_const", const="csv")
-    parser.add_argument("--cap", type=int, default=DEFAULT_COMBINATION_CAP)
+    if with_cap:
+        parser.add_argument("--cap", type=int, default=DEFAULT_COMBINATION_CAP)
     parser.set_defaults(format="text")
 
 
@@ -306,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pair_gap)
 
     p = sub.add_parser("seifert", help="show the slope-zero reference system")
-    _add_common(p)
+    _add_common(p, with_cap=False)  # the Seifert search enumerates no combinations
     p.set_defaults(func=cmd_seifert)
 
     return parser

@@ -8,10 +8,15 @@ along two sides of one triangle in succession (E2), and its u-coordinate
 never increases (E4). A path that is a single point on the horizontal edge
 is a constant edgepath.
 
-A path is stored as its Farey vertices, and its diagram edges are built
-from them only where validation reads them. The skeleton descent yields
-only leftward Farey neighbours; ``path_from_vertices`` builds every pair
-from elsewhere as a diagram edge, which rejects any other.
+A tangle's path shapes form a tree rooted at its vertex: a
+``PathSkeleton`` is one node, holding its last vertex and a pointer to
+its parent, the shape one edge shorter, so every shape costs O(1) memory
+and the vertex sequence is read back by walking the parent pointers. The
+skeleton descent yields only leftward Farey neighbours;
+``path_from_vertices`` builds every pair from elsewhere as a diagram edge,
+which rejects any other. An ``Edgepath`` is a node plus where the path
+stops on the node's last edge, and its diagram edges are built only where
+validation reads them.
 
 A path is type I, II or III according to the sign of its final
 u-coordinate (positive, zero, negative). Each non-boundary edge strictly
@@ -25,7 +30,11 @@ closed forms
     twist  = -2 * (sum of the full edges' signs + final sign * t)
     length = (number of full edges) + t
 
-with t = 1 for a path ending at a vertex.
+with t = 1 for a path ending at a vertex. Each node carries its edge
+count and the running sum of its edges' signs, so both forms, and the
+final sign (the node's sum minus its parent's), are read in O(1). A node
+also carries the mod-2 class of its edges when they all share one, which
+the Seifert parity test reads.
 """
 
 from __future__ import annotations
@@ -36,12 +45,11 @@ from .farey import (
     Edge,
     PartialPoint,
     diagram_edge,
-    farey_parents,
+    farey_parent_terms,
     horizontal_edge,
-    is_farey_edge,
     uv_coords,
 )
-from .rationals import INF, Frac
+from .rationals import Frac
 
 
 # -- signs -------------------------------------------------------------------
@@ -56,46 +64,171 @@ def edge_sign(right: Frac, left: Frac) -> int | None:
     return 1 if left > right else -1
 
 
+#: The edge class of a node whose edges do not all share one mod-2 class,
+#: or that has no edges.
+MIXED = 0
+
+
+def _edge_class(a: Frac, b: Frac) -> int:
+    """The mod-2 class of the edge <a>-<b>: one bit for each of its ends'
+    reductions (num mod 2, den mod 2), so the class is the unordered pair."""
+    return 1 << ((a.num & 1) | (a.den & 1) << 1) | 1 << ((b.num & 1) | (b.den & 1) << 1)
+
+
+# -- skeletons -----------------------------------------------------------------
+
+
+class PathSkeleton:
+    """A path shape before endpoints are solved, as a node of its tangle's
+    skeleton tree, or the constant marker (a node with no edges). The
+    final edge of a non-maximal skeleton is "open": an endpoint solve
+    decides where on it the path stops.
+
+    Besides its last vertex and its parent, a node holds its edge count,
+    the running sum of its edges' signs (unsigned edges count 0) and its
+    edge class: the one mod-2 class all its edges share, or ``MIXED``.
+    """
+
+    __slots__ = ("tangle", "final_left", "parent", "n_edges", "sign_sum", "edge_class", "constant")
+
+    def __init__(self, tangle: Frac, constant: bool = False):
+        """The root: the shape of no edges at the tangle vertex, or, with
+        ``constant``, the constant marker."""
+        self.tangle = self.final_left = tangle
+        self.parent = None
+        self.n_edges = self.sign_sum = 0
+        self.edge_class = MIXED
+        self.constant = constant
+
+    @classmethod
+    def from_vertices(cls, tangle: Frac, vertices) -> PathSkeleton:
+        """The chain of nodes through vertex values (right to left) from the
+        tangle vertex. Pairs are not checked to be edges; see
+        ``path_from_vertices``."""
+        verts = tuple(vertices)
+        if verts[:1] != (tangle,):
+            raise ValueError("path must start at the tangle vertex")
+        node = cls(tangle)
+        for v in verts[1:]:
+            node = node.child(v)
+        return node
+
+    def child(self, vertex: Frac, sign: int | None = None) -> PathSkeleton:
+        """This shape extended by one edge to <vertex>, in O(1). The edge's
+        sign is computed by ``edge_sign`` unless given (0 for unsigned)."""
+        right = self.final_left
+        if sign is None:
+            sign = edge_sign(right, vertex) or 0
+        edge_class = _edge_class(right, vertex)
+        if self.n_edges and edge_class != self.edge_class:
+            edge_class = MIXED
+        node = object.__new__(PathSkeleton)  # __init__ builds roots only
+        node.tangle = self.tangle
+        node.final_left = vertex
+        node.parent = self
+        node.n_edges = self.n_edges + 1
+        node.sign_sum = self.sign_sum + sign
+        node.edge_class = edge_class
+        node.constant = False
+        return node
+
+    @property
+    def vertices(self) -> tuple[Frac, ...]:
+        """The vertex values from the tangle vertex on, by walking the
+        parent pointers: O(length), for output and validation."""
+        out = []
+        node = self
+        while node is not None:
+            out.append(node.final_left)
+            node = node.parent
+        out.reverse()
+        return tuple(out)
+
+    @property
+    def final_right(self) -> Frac:
+        return self.parent.final_left
+
+    @property
+    def is_maximal(self) -> bool:
+        return self.final_left.is_infinite
+
+    @property
+    def single_class(self) -> bool:
+        """Whether the node has edges and they all share one mod-2 class."""
+        return self.edge_class != MIXED
+
+    def to_edgepath(self, final_weight: Frac | None = None) -> Edgepath:
+        if self.constant:
+            raise ValueError("constant marker needs a solved weight")
+        if final_weight is not None and final_weight.num == final_weight.den:
+            final_weight = None  # a weight of 1 traverses the whole edge
+        return Edgepath(self, final_weight)
+
+    def __eq__(self, other):
+        if not isinstance(other, PathSkeleton):
+            return NotImplemented
+        mine, theirs = (self.constant, self.tangle), (other.constant, other.tangle)
+        return self is other or (mine == theirs and self.vertices == other.vertices)
+
+    def __hash__(self):
+        return hash((self.constant, self.tangle, self.n_edges, self.final_left))
+
+    def __repr__(self) -> str:
+        return f"PathSkeleton({self})"
+
+    def __str__(self) -> str:
+        if self.constant:
+            return f"constant on <{self.tangle}>"
+        return " - ".join(f"<{v}>" for v in reversed(self.vertices))
+
+
 # -- edgepaths ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edgepath:
-    """One tangle's edgepath: its vertices in traversal order (right to
-    left) from the tangle vertex, each consecutive pair a leftward Farey
+    """One tangle's edgepath: a skeleton node, whose vertices run right to
+    left from the tangle vertex, and where the path stops on its last
     edge. A path that stops part-way along its last edge stores the
     stopping weight in ``final_weight``, strictly between 0 and 1; a path
     ending at a vertex stores None (``PathSkeleton.to_edgepath`` normalizes
     a solved weight of 1 to a fully traversed final edge). Constant paths
-    have the tangle as their only vertex and store their point on the
-    tangle's horizontal edge.
+    hold a node with no edges and store their point on the tangle's
+    horizontal edge.
     """
 
-    tangle: Frac
-    vertices: tuple[Frac, ...]
+    skeleton: PathSkeleton
     final_weight: Frac | None = None
     constant_point: PartialPoint | None = None
 
     def __post_init__(self):
-        if self.tangle.is_infinite or self.tangle.is_integer:
-            raise ValueError(f"tangle {self.tangle} is not a rational tangle")
-        if self.vertices[:1] != (self.tangle,):
-            raise ValueError("path must start at the tangle vertex")
+        tangle = self.skeleton.tangle
+        if tangle.is_infinite or tangle.is_integer:
+            raise ValueError(f"tangle {tangle} is not a rational tangle")
+        n_edges = self.skeleton.n_edges
         if self.constant_point is not None:
-            if len(self.vertices) > 1 or self.final_weight is not None:
+            if n_edges or self.final_weight is not None:
                 raise ValueError("constant path cannot have steps")
             edge = self.constant_point.edge
-            if edge.kind != "horizontal" or edge.end.value != self.tangle:
+            if edge.kind != "horizontal" or edge.end.value != tangle:
                 raise ValueError("constant point off the tangle's horizontal edge")
             return
-        if len(self.vertices) < 2:
+        if not n_edges:
             raise ValueError("empty path: use a constant path instead")
         if self.final_weight is not None:
             t = self.final_weight
             if not (0 < t < 1):
                 raise ValueError(f"final weight {t} outside (0, 1)")
-            if self.vertices[-1].is_infinite:
+            if self.skeleton.is_maximal:
                 raise ValueError("cannot stop part-way toward <inf>")
+
+    @property
+    def tangle(self) -> Frac:
+        return self.skeleton.tangle
+
+    @property
+    def vertices(self) -> tuple[Frac, ...]:
+        return self.skeleton.vertices
 
     @property
     def is_constant(self) -> bool:
@@ -104,12 +237,13 @@ class Edgepath:
     @property
     def steps(self) -> tuple[Edge, ...]:
         """The diagram edges in traversal order, built from the vertices."""
-        return tuple(map(diagram_edge, self.vertices, self.vertices[1:]))
+        verts = self.vertices
+        return tuple(map(diagram_edge, verts, verts[1:]))
 
     def endpoint(self):
         if self.is_constant:
             return self.constant_point
-        last = diagram_edge(*self.vertices[-2:])
+        last = diagram_edge(self.skeleton.final_right, self.skeleton.final_left)
         if self.final_weight is not None:
             return PartialPoint(last, self.final_weight)
         return last.end
@@ -123,18 +257,19 @@ class Edgepath:
 
     def twist(self) -> Frac:
         """-2 * (the full edges' signs + the final sign * final weight),
-        unsigned edges counting 0. Constant paths have twist 0."""
-        signs = [s or 0 for s in map(edge_sign, self.vertices, self.vertices[1:])]
+        read from the node's running sums. Constant paths have twist 0."""
+        sk = self.skeleton
         t = self.final_weight
         if t is None:
-            return Frac(-2 * sum(signs))
-        # -2 * (full + last * t) over the weight's denominator: one Frac
-        return Frac(-2 * (sum(signs[:-1]) * t.den + signs[-1] * t.num), t.den)
+            return Frac(-2 * sk.sign_sum)
+        # the parent's sum covers the full edges: -2 * (full + last * t) as one Frac
+        full = sk.parent.sign_sum
+        return Frac(-2 * (full * t.den + (sk.sign_sum - full) * t.num), t.den)
 
     def length(self) -> Frac:
         """Total traversed length (full edges count 1, the partial final
         edge its weight). Constant paths have length 0."""
-        edges = len(self.vertices) - 1
+        edges = self.skeleton.n_edges
         if self.final_weight is None:
             return Frac(edges)
         return self.final_weight + (edges - 1)
@@ -142,7 +277,8 @@ class Edgepath:
     def last_sign(self) -> int | None:
         if self.is_constant:
             return None
-        return edge_sign(*self.vertices[-2:])
+        sk = self.skeleton
+        return (sk.sign_sum - sk.parent.sign_sum) or None
 
     def render(self) -> str:
         """Leftmost point first, then the vertices back to the start, e.g.
@@ -169,91 +305,62 @@ def path_from_vertices(tangle: Frac, vertices, final_weight: Frac | None = None)
     verts = tuple(vertices)
     for a, b in zip(verts, verts[1:]):
         diagram_edge(a, b)
-    return PathSkeleton(tangle, verts).to_edgepath(final_weight)
+    return PathSkeleton.from_vertices(tangle, verts).to_edgepath(final_weight)
 
 
 def constant_path(tangle: Frac, weight_on_vertex: Frac) -> Edgepath:
     point = PartialPoint(horizontal_edge(tangle), weight_on_vertex)
-    return Edgepath(tangle, (tangle,), constant_point=point)
+    return Edgepath(PathSkeleton(tangle, constant=True), constant_point=point)
 
 
 # -- skeleton enumeration ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PathSkeleton:
-    """A path shape before endpoints are solved: a vertex sequence (right
-    to left), or the constant marker. The final edge of a non-maximal
-    skeleton is "open": an endpoint solve decides where on it the path
-    stops."""
-
-    tangle: Frac
-    vertices: tuple[Frac, ...]
-    constant: bool = False
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.vertices) - 1
-
-    @property
-    def is_maximal(self) -> bool:
-        return self.vertices[-1].is_infinite
-
-    @property
-    def final_left(self) -> Frac:
-        return self.vertices[-1]
-
-    @property
-    def final_right(self) -> Frac:
-        return self.vertices[-2]
-
-    def to_edgepath(self, final_weight: Frac | None = None) -> Edgepath:
-        if self.constant:
-            raise ValueError("constant marker needs a solved weight")
-        if final_weight == 1:
-            final_weight = None
-        return Edgepath(self.tangle, self.vertices, final_weight)
-
-    def __str__(self) -> str:
-        if self.constant:
-            return f"constant on <{self.tangle}>"
-        return " - ".join(f"<{v}>" for v in reversed(self.vertices))
 
 
 def enumerate_skeletons(tangle: Frac) -> list[PathSkeleton]:
     """All leftward path shapes for a tangle.
 
     Descent through parent pairs: from each fraction vertex the candidate
-    moves are its two parents, minus any move that retraces or runs along
-    two sides of one triangle with the arriving edge; each integer reached
-    continues to <inf>. Every prefix is emitted (solver choices truncate
+    moves are its two parents, minus any move that runs along two sides of
+    one triangle with the arriving edge; each integer reached continues to
+    <inf>. Denominators strictly decrease along the descent, so no move
+    retraces a step. Every node is emitted (solver choices truncate
     skeletons anywhere), the maximal paths end at <inf>, and the constant
-    marker is included. Order: constant marker first, then prefixes sorted
-    by vertex sequence.
+    marker is included. Order: constant marker first, then the shapes
+    sorted by vertex sequence.
 
     The descent is an iterative pre-order walk with an explicit stack, so
     path length is not bounded by the recursion limit. Children are
-    visited in ascending order, and all prefixes share the first vertex,
-    so pre-order already is the sorted order and nothing is sorted.
+    visited in ascending order, and all shapes share the first vertex,
+    so pre-order already is the sorted order and nothing is sorted. Each
+    child is one node built in O(1); the smaller parent is reached along
+    an edge of sign -1, the larger along one of sign +1.
     """
     if tangle.is_infinite or tangle.is_integer:
         raise ValueError(f"tangle {tangle} is not a rational tangle")
-    out = [PathSkeleton(tangle, (tangle,), constant=True)]
-    stack = [(tangle,)]
+    out = [PathSkeleton(tangle, constant=True)]
+    stack = [PathSkeleton(tangle)]
     while stack:
-        prefix = stack.pop()
-        out.append(PathSkeleton(tangle, prefix))
-        cur = prefix[-1]
-        if cur.is_infinite:
+        node = stack.pop()
+        out.append(node)
+        cur = node.final_left
+        p, q = cur.num, cur.den
+        if q == 0:
             continue
-        if cur.is_integer:
-            nxt = [INF]
+        if q == 1:
+            moves = ((1, 0, 0),)  # on to <inf>, unsigned
         else:
-            nxt = list(farey_parents(cur))
-        if len(prefix) >= 2:
-            back = prefix[-2]
-            nxt = [y for y in nxt if y != back and not is_farey_edge(back, y)]
+            (r, s), (r1, s1) = farey_parent_terms(p, q)
+            moves = ((r, s, -1), (r1, s1, 1))
+        # a move runs along two sides of one triangle when the vertex before
+        # <cur> is joined to it too; the root has no vertex before it, and
+        # 0/0 has determinant 0 with every move
+        if node.parent is None:
+            bn = bd = 0
+        else:
+            back = node.parent.final_left
+            bn, bd = back.num, back.den
         # pushed largest first, so the smallest child is visited next
-        for y in reversed(nxt):
-            stack.append(prefix + (y,))
+        for yn, yd, sign in reversed(moves):
+            if abs(bn * yd - bd * yn) != 1:
+                stack.append(node.child(Frac(yn, yd), sign))
     return out

@@ -38,6 +38,16 @@ def mediant(a: Frac, b: Frac) -> Frac:
     return Frac(a.num + b.num, a.den + b.den)
 
 
+def farey_parent_terms(p: int, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The parents of the reduced fraction p/q, q >= 2, as (num, den) pairs
+    in increasing order; see ``farey_parents``."""
+    s0 = pow(p, -1, q)  # p*s0 = 1 (mod q), 1 <= s0 < q
+    r0 = (p * s0 - 1) // q
+    # p*s0 - q*r0 = 1 puts r0/s0 just below p/q and the other parent,
+    # whose determinant with p/q is -1, just above
+    return (r0, s0), (p - r0, q - s0)
+
+
 def farey_parents(f: Frac) -> tuple[Frac, Frac]:
     """The two neighbours of f with strictly smaller denominator.
 
@@ -48,12 +58,8 @@ def farey_parents(f: Frac) -> tuple[Frac, Frac]:
     """
     if f.is_infinite or f.is_integer:
         raise ValueError(f"{f} has no parent pair")
-    p, q = f.num, f.den
-    s0 = pow(p, -1, q)  # p*s0 = 1 (mod q), 1 <= s0 < q
-    r0 = (p * s0 - 1) // q
-    a = Frac(r0, s0)
-    b = Frac(p - r0, q - s0)
-    return (a, b) if a < b else (b, a)
+    (r, s), (r1, s1) = farey_parent_terms(f.num, f.den)
+    return Frac(r, s), Frac(r1, s1)
 
 
 # -- vertices ------------------------------------------------------------

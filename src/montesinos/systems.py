@@ -34,11 +34,13 @@ on the v-axis, possibly after motion along vertical edges, which changes
 no twist), and type III (every path runs to <inf>, where E3 holds
 trivially). The Seifert reference among type III systems is detected by
 two parity conditions on the reduced mod-2 vertex labels. The first, a
-single mod-2 edge class, is a condition on each path alone, so the search
-filters every tangle's maximal skeletons by it before taking the product,
-builds each surviving path once, and only counts odd penultimate vertices
-per combination. Both the enumeration and the search read the knot's
-skeletons, which are enumerated once per knot.
+single mod-2 edge class, is a condition on each path alone, which every
+skeleton node carries, so the search filters every tangle's maximal
+skeletons by it before taking the product, builds each surviving path
+once, and only counts odd penultimate vertices per combination.
+``is_seifert_candidate`` derives both conditions again from the vertex
+values. Both the enumeration and the search read the knot's skeletons,
+which are enumerated once per knot.
 """
 
 from __future__ import annotations
@@ -113,7 +115,8 @@ class MontesinosKnot:
     @cached_property
     def skeletons(self) -> tuple[tuple[PathSkeleton, ...], ...]:
         """Each tangle's skeletons, enumerated once per knot and shared by
-        the system enumeration and the Seifert search."""
+        the system enumeration and the Seifert search: O(1) tree nodes
+        each, so O(L) memory for a tangle whose paths have L edges."""
         return tuple(tuple(enumerate_skeletons(f)) for f in self.tangles)
 
 
@@ -261,11 +264,15 @@ def _vertical_directions(choice: PathSkeleton) -> list[int]:
     return out
 
 
-def _extended_vertices(choice: PathSkeleton, displacement: int) -> tuple[Frac, ...]:
-    z = choice.final_left
+def _extended_path(choice: PathSkeleton, displacement: int) -> Edgepath:
+    """The arrival path moved ``displacement`` steps along vertical edges,
+    as child nodes of sign 0."""
+    z = choice.final_left.num
     step = 1 if displacement > 0 else -1
-    extra = tuple(z + step * i for i in range(1, abs(displacement) + 1))
-    return choice.vertices + extra
+    node = choice
+    for i in range(1, abs(displacement) + 1):
+        node = node.child(Frac(z + step * i), 0)
+    return node.to_edgepath()
 
 
 def solver_choices(skeletons: Sequence[PathSkeleton]) -> list[PathSkeleton]:
@@ -373,8 +380,7 @@ def enumerate_systems_with_diagnostics(
         if absorber is None:
             continue
         paths = [path for _, path in combo]
-        ch = combo[absorber][0]
-        paths[absorber] = Edgepath(ch.tangle, _extended_vertices(ch, shift))
+        paths[absorber] = _extended_path(combo[absorber][0], shift)
         systems.append(EdgepathSystem(knot, tuple(paths), Frac(0)))
 
     built_maximal = [[ch.to_edgepath() for ch in options] for options in maximal]
@@ -407,7 +413,14 @@ class Violation:
 def validate_system(system: EdgepathSystem) -> Violation | None:
     """Check E1 through E4 from the stored paths alone, independently of
     how the system was produced. Returns the first violation, or None.
-    Rebuilding a path's edges raises ValueError on a non-edge vertex pair."""
+    Each path's diagram edges are rebuilt once from its vertices, first; a
+    vertex pair that is not a leftward Farey edge is an E2 violation."""
+    steps = []
+    for i, path in enumerate(system.paths):
+        try:
+            steps.append(path.steps)
+        except ValueError as exc:
+            return Violation("E2", i, str(exc))
     # E1: start on the tangle's horizontal edge; moving paths start at <R_i>
     for i, path in enumerate(system.paths):
         if path.tangle != system.knot.tangles[i]:
@@ -418,12 +431,11 @@ def validate_system(system: EdgepathSystem) -> Violation | None:
                 return Violation("E1", i, "constant point off the horizontal edge")
             if point.weight_left < 0 or point.weight_left > 1:
                 return Violation("E1", i, "constant weight outside [0, 1]")
-        elif path.steps[0].start != angle(path.tangle):
+        elif steps[i][0].start != angle(path.tangle):
             return Violation("E1", i, "moving path does not start at the tangle vertex")
     # E2: minimality
-    for i, path in enumerate(system.paths):
-        steps = path.steps
-        for a, b in zip(steps, steps[1:]):
+    for i, edges in enumerate(steps):
+        for a, b in zip(edges, edges[1:]):
             if a.undirected() == b.undirected():
                 return Violation("E2", i, f"step {b} retraces {a}")
             if same_triangle(a, b):
@@ -472,16 +484,17 @@ def _single_parity_class(verts: Sequence[Frac]) -> bool:
 
 def penultimate_vertex(path: Edgepath) -> Frac:
     """The v-axis vertex just before <inf> on a maximal path."""
-    verts = path.vertices
-    if not verts[-1].is_infinite:
+    if not path.skeleton.is_maximal:
         raise ValueError("path does not reach <inf>")
-    return verts[-2]
+    return path.skeleton.final_right
 
 
 def is_seifert_candidate(system: EdgepathSystem) -> bool:
     """The two parity conditions for representing a Seifert surface:
     every path uses edges of a single mod-2 class, and the number of paths
-    whose penultimate vertex is an odd integer is even."""
+    whose penultimate vertex is an odd integer is even. The edge classes
+    are derived from the vertex values, not read from the nodes, so this
+    stays a check on the search, which reads them."""
     if system.system_type != "III":
         return False
     if not all(_single_parity_class(p.vertices) for p in system.paths):
@@ -491,12 +504,13 @@ def is_seifert_candidate(system: EdgepathSystem) -> bool:
 
 
 def _reference_paths(skeletons: Sequence[PathSkeleton]) -> list[tuple[Edgepath, bool]]:
-    """Each maximal skeleton of a single mod-2 class as its path, built
-    once, and whether its penultimate vertex is odd."""
+    """Each maximal skeleton of a single mod-2 class (its stored edge
+    class) as its path, built once, and whether its penultimate vertex,
+    its parent's, is odd."""
     return [
-        (sk.to_edgepath(), sk.vertices[-2].num % 2 != 0)
+        (sk.to_edgepath(), sk.final_right.num % 2 != 0)
         for sk in skeletons
-        if sk.is_maximal and _single_parity_class(sk.vertices)
+        if sk.is_maximal and sk.single_class
     ]
 
 

@@ -60,3 +60,37 @@ def seifert_search_oracle(k: MontesinosKnot) -> EdgepathSystem:
             f"ambiguous reference for {k}: twists {sorted(map(str, twists))}"
         )
     return candidates[0]
+
+
+def sign_by_definition(right, left):
+    """The sign of the edge <right>-<left> by the definition: +1 when the
+    left vertex is the larger, -1 when the smaller, None for edges to
+    <inf> and edges between two integers."""
+    if left.is_infinite or (left.is_integer and right.is_integer):
+        return None
+    return 1 if left > right else -1
+
+
+def twist_and_length_by_edge(path):
+    """Twist and length summed edge by edge from the vertex values, by the
+    definition: a full edge adds -2 * sign and length 1, a partial final
+    edge traversed t adds -2 * sign * t and length t, and unsigned edges
+    add no twist."""
+    verts = path.vertices
+    twist = length = Frac(0)
+    for i, (right, left) in enumerate(zip(verts, verts[1:])):
+        last = i == len(verts) - 2
+        t = path.final_weight if last and path.final_weight is not None else Frac(1)
+        twist = twist - 2 * (sign_by_definition(right, left) or 0) * t
+        length = length + t
+    return twist, length
+
+
+def single_class_by_vertices(vertices) -> bool:
+    """Whether the path has edges and all of them join the same two mod-2
+    reductions (num mod 2, den mod 2) of their ends."""
+    classes = {
+        frozenset(((a.num % 2, a.den % 2), (b.num % 2, b.den % 2)))
+        for a, b in zip(vertices, vertices[1:])
+    }
+    return len(classes) == 1

@@ -191,6 +191,14 @@ def test_seifert_command(capsys):
     assert "<inf> - <-1> - <-1/2>" in out
 
 
+def test_seifert_has_no_cap_option(capsys):
+    # the Seifert search enumerates no combinations, so no cap applies
+    with pytest.raises(SystemExit) as exc:
+        main(["seifert", "--cap", "5", "-1/2,2/5,1/11"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cap" in capsys.readouterr().err
+
+
 def test_seifert_json(capsys):
     code, out, _ = run_cli(capsys, "seifert", "--json", "-1/2,2/5,1/13")
     payload = json.loads(out)
@@ -296,3 +304,44 @@ def test_skeletons_are_enumerated_once_per_tangle(capsys, monkeypatch, argv, cal
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
     assert len(tangles) == calls
+
+
+# Runs one command line and prints its peak RSS (ru_maxrss, in kB) on stderr.
+RSS_PROBE = (
+    "import resource, sys\n"
+    "from montesinos.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "sys.stdout.flush()\n"
+    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+# Starts the probe from a small interpreter: exec keeps the peak RSS of the
+# process it replaces in ru_maxrss, so a probe exec'd straight from the test
+# process would report this process's peak, not its own.
+RSS_LAUNCHER = (
+    "import subprocess, sys\n"
+    "sys.exit(subprocess.run([sys.executable, '-c'] + sys.argv[1:]).returncode)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("enumerate", "-1/2,2/5,1/5001"), ("seifert", "--json", "-1/2,2/5,1/5001")],
+)
+def test_deep_tangle_runs_in_linear_memory(argv):
+    # a 5001-edge chain: skeletons as tree nodes keep this O(L); prefix
+    # tuples took O(L^2), over 110 MB
+    proc = subprocess.run(
+        [sys.executable, "-c", RSS_LAUNCHER, RSS_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env=_cli_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    if argv[0] == "seifert":
+        assert json.loads(proc.stdout)["twist"] == "-9998"
+    else:
+        seifert_rows = [line.split() for line in proc.stdout.splitlines() if line.endswith(" yes")]
+        assert [row[2] for row in seifert_rows] == ["-9998"]
+    peak_kb = int(proc.stderr.split()[-1])
+    assert peak_kb < 30 * 1024, f"peak RSS {peak_kb} kB"

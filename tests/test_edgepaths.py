@@ -13,9 +13,16 @@ from montesinos import (
     farey_parents,
     is_farey_edge,
     path_from_vertices,
+    penultimate_vertex,
 )
 
-from helpers import fr, skeleton
+from helpers import (
+    fr,
+    sign_by_definition,
+    single_class_by_vertices,
+    skeleton,
+    twist_and_length_by_edge,
+)
 
 
 def check_minimal_monotone(vertices):
@@ -104,10 +111,13 @@ def test_deep_tangle_descends_without_recursion():
     n = 5001
     skels = enumerate_skeletons(Frac(1, n))
     assert len(skels) == 5005
-    moving = [s.vertices for s in skels[1:]]
-    assert moving == sorted(moving)
+    # pre-order in O(L): every node comes after its parent
+    emitted = set()
+    for sk in skels[1:]:
+        assert sk.parent is None or id(sk.parent) in emitted
+        emitted.add(id(sk))
     # the chain through every 1/k is the last branch, so it comes last
-    assert moving[-1] == tuple(Frac(1, k) for k in range(n, 0, -1)) + (INF,)
+    assert skels[-1].vertices == tuple(Frac(1, k) for k in range(n, 0, -1)) + (INF,)
 
 
 small_tangles = st.builds(
@@ -167,27 +177,20 @@ def test_path_twist_is_sum_of_steps():
     assert path.length() == 1 + Frac(1, 11)
 
 
-def twist_and_length_by_edge(path):
-    """Twist and length summed edge by edge from the vertex values, by the
-    definition: a full edge adds -2 * sign and length 1, a partial final
-    edge traversed t adds -2 * sign * t and length t. The sign is +1 when
-    the left vertex is the larger; edges to <inf> and edges between two
-    integers have none."""
-    verts = path.vertices
-    twist = length = Frac(0)
-    for i, (right, left) in enumerate(zip(verts, verts[1:])):
-        last = i == len(verts) - 2
-        t = path.final_weight if last and path.final_weight is not None else Frac(1)
-        if not left.is_infinite and not (left.is_integer and right.is_integer):
-            sign = 1 if left > right else -1
-            twist = twist - 2 * sign * t
-        length = length + t
-    return twist, length
-
-
 @given(small_tangles, st.data())
 def test_closed_form_twist_and_length_match_the_edge_sum(tangle, data):
-    moving = [sk for sk in enumerate_skeletons(tangle) if not sk.constant and sk.n_edges >= 1]
+    skeletons = enumerate_skeletons(tangle)
+    # every node's stored sums against its vertex values alone
+    for sk in skeletons[2:]:  # past the constant marker and the root
+        verts = sk.vertices
+        path = sk.to_edgepath()
+        assert path.last_sign() == sign_by_definition(verts[-2], verts[-1])
+        assert sk.single_class == single_class_by_vertices(verts)
+        assert path.twist() == twist_and_length_by_edge(path)[0]
+        if sk.is_maximal:
+            assert penultimate_vertex(path).num % 2 == verts[-2].num % 2
+            assert sk.final_right.num % 2 == verts[-2].num % 2
+    moving = [sk for sk in skeletons if not sk.constant and sk.n_edges >= 1]
     sk = data.draw(st.sampled_from(moving))
     if sk.is_maximal:
         weight = Frac(1)  # a path cannot stop part-way toward <inf>

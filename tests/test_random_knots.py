@@ -17,6 +17,8 @@ from montesinos import (
     validate_system,
 )
 
+from helpers import twist_and_length_by_edge
+
 
 def random_knots(seed: int, count: int) -> list[MontesinosKnot]:
     """3-4 tangle knots with denominators at most 7 and numerators in
@@ -44,6 +46,10 @@ def test_every_emitted_system_and_reference_validates():
     for k in KNOTS:
         for system in enumerate_systems(k):
             assert validate_system(system) is None, (str(k), system.render_paths())
+            # the O(1) twists read from the nodes, against the edge-by-edge sum
+            assert [p.twist() for p in system.paths] == [
+                twist_and_length_by_edge(p)[0] for p in system.paths
+            ], (str(k), system.render_paths())
         try:
             reference = find_seifert_system(k)
         except SeifertReferenceError:

@@ -6,10 +6,10 @@ from math import gcd
 
 import pytest
 
-from montesinos import SeifertReferenceError, find_seifert_system
+from montesinos import Frac, SeifertReferenceError, enumerate_skeletons, find_seifert_system
 from montesinos import systems as systems_module
 
-from helpers import family_spec, knot, seifert_search_oracle
+from helpers import family_spec, knot, seifert_search_oracle, single_class_by_vertices
 
 
 def search_outcome(search, spec):
@@ -69,3 +69,24 @@ def test_disagreeing_twists_are_refused(monkeypatch):
     message = "ambiguous reference for M(-1/2, 2/5, 1/11): twists ['-14', '-18', '-26', '0', '4']"
     with pytest.raises(SeifertReferenceError, match=re.escape(message)):
         find_seifert_system(knot(family_spec(11)))
+
+
+def test_single_class_maximal_skeletons_by_denominator_parity():
+    """Every p/q with 2 <= q < 30, |p| < 3q: an odd q has exactly one
+    maximal skeleton of a single mod-2 class, an even q exactly two, with
+    penultimate vertices of opposite parity. Read from the vertices and
+    from the nodes' stored classes alike."""
+    for q in range(2, 30):
+        for p in range(1 - 3 * q, 3 * q):
+            if gcd(p, q) != 1:
+                continue
+            maximal = [sk for sk in enumerate_skeletons(Frac(p, q)) if sk.is_maximal]
+            by_vertices = [
+                sk.vertices[-2].num % 2 for sk in maximal if single_class_by_vertices(sk.vertices)
+            ]
+            by_node = [sk.final_right.num % 2 for sk in maximal if sk.single_class]
+            assert by_node == by_vertices, f"{p}/{q}"
+            if q % 2:
+                assert len(by_node) == 1, f"{p}/{q}"
+            else:
+                assert sorted(by_node) == [0, 1], f"{p}/{q}"

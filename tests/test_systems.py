@@ -8,6 +8,7 @@ from montesinos import (
     DegenerateSystemError,
     EdgepathSystem,
     Frac,
+    PathSkeleton,
     enumerate_systems,
     enumerate_systems_with_diagnostics,
     find_seifert_system,
@@ -273,12 +274,32 @@ def test_validator_catches_triangle_run():
         path_from_vertices(fr("1/3"), [fr("1/3"), fr("1/2"), fr("1"), INF]),
     )
     # rebuild the last path with a triangle run 1/3 -> 1/2 -> 0
-    from montesinos.edgepaths import Edgepath
-
-    bad = Edgepath(tangle=fr("1/3"), vertices=(fr("1/3"), fr("1/2"), fr("0"), INF))
+    bad = PathSkeleton.from_vertices(fr("1/3"), (fr("1/3"), fr("1/2"), fr("0"), INF)).to_edgepath()
     system = EdgepathSystem(k, paths[:2] + (bad,), Frac(-1))
     violation = validate_system(system)
     assert violation is not None and violation.condition == "E2"
+
+
+@pytest.mark.parametrize(
+    "spec, vertices, detail",
+    [
+        ("1/2,1/3,-1/3", ("1/2", "2/5"), "runs left to right"),
+        ("2/5,1/3,-1/3", ("2/5", "1/5"), "are not neighbours"),
+    ],
+)
+def test_validator_reports_a_non_edge_pair_as_a_violation(spec, vertices, detail):
+    # a hand-built path holding a pair that is no leftward Farey edge
+    k = knot(spec)
+    bad = PathSkeleton.from_vertices(k.tangles[0], tuple(map(fr, vertices))).to_edgepath()
+    paths = (
+        bad,
+        path_from_vertices(fr("1/3"), [fr("1/3"), fr("0"), INF]),
+        path_from_vertices(fr("-1/3"), [fr("-1/3"), fr("0"), INF]),
+    )
+    violation = validate_system(EdgepathSystem(k, paths, Frac(-1)))
+    assert violation is not None
+    assert (violation.condition, violation.path_index) == ("E2", 0)
+    assert detail in violation.detail
 
 
 def test_validator_catches_wrong_tangle():
