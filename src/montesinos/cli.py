@@ -221,11 +221,11 @@ def cmd_verify_family(args) -> int:
 
 def cmd_pair_gap(args) -> int:
     include = ("I", "II", "III") if args.all_types else DEFAULT_TYPES
-    _, reports = _knot_reports(args.knot, include, args.cap, dedupe=False)
+    knot, reports = _knot_reports(args.knot, include, args.cap, dedupe=False)
     slopes = sorted({r.slope for r in reports})
     if len(slopes) < 2:
         if args.format == "json":
-            print(json.dumps({"knot": args.knot, "pair": None}))
+            print(json.dumps({"knot": knot.spec_string, "pair": None}))
         else:
             print("no pair: fewer than two distinct slopes")
         return EXIT_OK
@@ -239,7 +239,7 @@ def cmd_pair_gap(args) -> int:
         print(
             json.dumps(
                 {
-                    "knot": args.knot,
+                    "knot": knot.spec_string,
                     "min_gap": str(gap),
                     "min_gap_decimal": decimal_str(gap),
                     "pair": [str(low), str(high)],

@@ -39,7 +39,7 @@ the Seifert parity test reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .farey import (
     Edge,
@@ -194,12 +194,14 @@ class Edgepath:
     ending at a vertex stores None (``PathSkeleton.to_edgepath`` normalizes
     a solved weight of 1 to a fully traversed final edge). Constant paths
     hold a node with no edges and store their point on the tangle's
-    horizontal edge.
+    horizontal edge. ``render`` computes the path's string once and keeps
+    it in a slot that takes no part in equality, hashing or ``repr``.
     """
 
     skeleton: PathSkeleton
     final_weight: Frac | None = None
     constant_point: PartialPoint | None = None
+    _rendered: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         tangle = self.skeleton.tangle
@@ -282,19 +284,25 @@ class Edgepath:
 
     def render(self) -> str:
         """Leftmost point first, then the vertices back to the start, e.g.
-        "(1/11)<-1> + (10/11)<-1/2> - <-1/2>"."""
+        "(1/11)<-1> + (10/11)<-1/2> - <-1/2>". Computed on the first call
+        and kept on the path, so sorting, the reference choice and output
+        share one rendering."""
+        if self._rendered is not None:
+            return self._rendered
         if self.is_constant:
             t = self.constant_point.weight_left
             f = self.tangle
-            return f"({t})<{f}> + ({Frac(1) - t})<{f}>o"
-        verts = self.vertices
-        if self.final_weight is not None:
-            t = self.final_weight
-            head = f"({t})<{verts[-1]}> + ({Frac(1) - t})<{verts[-2]}>"
+            text = f"({t})<{f}> + ({Frac(1) - t})<{f}>o"
         else:
-            head = f"<{verts[-1]}>"
-        parts = [head] + [f"<{v}>" for v in reversed(verts[:-1])]
-        return " - ".join(parts)
+            verts = self.vertices
+            if self.final_weight is not None:
+                t = self.final_weight
+                head = f"({t})<{verts[-1]}> + ({Frac(1) - t})<{verts[-2]}>"
+            else:
+                head = f"<{verts[-1]}>"
+            text = " - ".join([head] + [f"<{v}>" for v in reversed(verts[:-1])])
+        object.__setattr__(self, "_rendered", text)  # frozen: set once, like __init__
+        return text
 
 
 def path_from_vertices(tangle: Frac, vertices, final_weight: Frac | None = None) -> Edgepath:

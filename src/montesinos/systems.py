@@ -22,9 +22,18 @@ no solution. Otherwise c = B / A is accepted when every t_i lies in (0, 1]
 and every constant tangle satisfies c >= q_j (its point must stay on the
 horizontal edge).
 
-Those range conditions make each choice a c-interval: [q_i, s_i) for a
-moving path (skeleton descent keeps q_i < s_i) and [q_j, inf) for a
-constant one. The enumeration walks the tangles depth first and drops a
+The solve runs in integers. With d_i = q_i - s_i, each b_i = s_i * a_i - r_i
+equals (s_i * p_i - r_i * q_i) / d_i, which is +-1/d_i because the Farey
+determinant of an edge is +-1. Over D = prod d_i * prod q_j, An = A * D and
+Bn = B * D are integers; negated together so that An > 0, they give
+c = Bn / An, and t_i = (Bn - s_i * An) / (d_i * An). Each range condition
+is then a comparison of integers, and a rejected solve builds no ``Frac``.
+
+When q_i < s_i, as skeleton descent guarantees, t_i = (s_i - c) / (s_i - q_i)
+is positive exactly when c < s_i and at most 1 exactly when c >= q_i, so
+t_i in (0, 1] is exactly q_i <= c < s_i. That makes each choice a
+c-interval: [q_i, s_i) for a moving path and [q_j, inf) for a constant
+one. The enumeration walks the tangles depth first and drops a
 branch once the running intersection is empty, so combinations that
 cannot meet are never built or solved.
 
@@ -143,10 +152,26 @@ def _check_moving_choice(choice: PathSkeleton):
         raise ValueError(f"{choice} ends at <inf>: nothing to solve")
     if choice.final_left.is_integer and choice.final_right.is_integer:
         raise ValueError(f"{choice} has a vertical final edge")
+    if choice.final_left.den == choice.final_right.den:
+        raise ValueError(
+            f"{choice} has a final edge between two equal denominators: not a Farey edge"
+        )
 
 
 def solve_endpoints(choices: Sequence[PathSkeleton]) -> EndpointSolution | None:
-    """Solve E3 exactly for one skeleton choice per tangle, as A * c = B.
+    """Solve E3 exactly for one skeleton choice per tangle, as A * c = B,
+    in integers.
+
+    Moving path i runs its final edge from r_i/s_i down to p_i/q_i; with
+    d_i = q_i - s_i it adds a_i = (p_i - r_i) / d_i to A and
+    b_i = s_i * a_i - r_i = (s_i * p_i - r_i * q_i) / d_i to B, which is
+    +-1/d_i on a Farey edge. Over D = prod d_i * prod q_j the sums are the
+    integers An = A * D and Bn = B * D, negated together so that An > 0.
+    Then c = Bn / An, and t_i = (Bn - s_i * An) / (d_i * An) lies in
+    (0, 1] exactly when q_i * An <= Bn < s_i * An for d_i < 0 (that is,
+    q_i <= c < s_i) or s_i * An < Bn <= q_i * An for d_i > 0; a constant
+    tangle needs Bn >= q_j * An. Every test is an integer comparison, and
+    ``Frac``s are built only for an accepted solve.
 
     Returns the unique solution when it exists and meets every range
     constraint, None when the equation is inconsistent or the solution
@@ -160,35 +185,42 @@ def solve_endpoints(choices: Sequence[PathSkeleton]) -> EndpointSolution | None:
     for ch in moving:
         _check_moving_choice(ch)
 
-    # a_i and b_i per moving path; each constant tangle adds R_j to A
-    A = Frac(0)
-    B = Frac(0)
+    # An / D and Bn / D, one term at a time: x/D + y/d = (x*d + y*D) / (D*d)
+    an = bn = 0
+    dd = 1
+    ends = []
     for ch in moving:
         left, right = ch.final_left, ch.final_right
-        a = Frac(left.num - right.num, left.den - right.den)
-        A = A + a
-        B = B + right.den * a - right.num
+        p, q, r, s = left.num, left.den, right.num, right.den
+        d = q - s
+        an = an * d + (p - r) * dd
+        bn = bn * d + (s * p - r * q) * dd
+        dd *= d
+        ends.append((q, s, d))
     for ch in constants:
-        A = A + ch.tangle
-    if A == 0:
-        if B != 0:
+        tangle = ch.tangle
+        if tangle.is_infinite:
+            raise ValueError(f"{ch}: arithmetic with the infinite value")
+        an = an * tangle.den + tangle.num * dd
+        bn *= tangle.den
+        dd *= tangle.den
+    if an == 0:
+        if bn != 0:
             return None
         raise DegenerateSystemError(
             "degenerate: endpoints form a continuous family for "
             + "; ".join(str(ch) for ch in choices)
         )
-    c = B / A
-    weights = []
-    for ch in moving:
-        q, s = ch.final_left.den, ch.final_right.den
-        t = (c - s) / (q - s)
-        if t <= 0 or t > 1:
+    if an < 0:
+        an, bn = -an, -bn
+    for q, s, d in ends:
+        if not (q * an <= bn < s * an if d < 0 else s * an < bn <= q * an):
             return None
-        weights.append(t)
     for ch in constants:
-        if c < ch.tangle.den:
+        if bn < ch.tangle.den * an:
             return None
-    return EndpointSolution(tuple(weights), c)
+    weights = tuple(Frac(bn - s * an, d * an) for _, s, d in ends)
+    return EndpointSolution(weights, Frac(bn, an))
 
 
 # -- systems -----------------------------------------------------------------
@@ -202,11 +234,9 @@ class EdgepathSystem:
 
     @property
     def system_type(self) -> str:
-        if self.common_u > 0:
-            return "I"
-        if self.common_u == 0:
-            return "II"
-        return "III"
+        # the sign of u lives on its numerator (a Frac's den is positive)
+        num = self.common_u.num
+        return "I" if num > 0 else "II" if num == 0 else "III"
 
     def render_paths(self) -> tuple[str, ...]:
         return tuple(p.render() for p in self.paths)
@@ -220,8 +250,8 @@ class EdgepathSystem:
         }
 
     def _sort_key(self):
-        rank = {"I": 0, "II": 1, "III": 2}[self.system_type]
-        return (rank, self.render_paths())
+        # "I" < "II" < "III" as strings, so the type name is its own rank
+        return (self.system_type, self.render_paths())
 
 
 def system_twist(system: EdgepathSystem) -> Frac:

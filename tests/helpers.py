@@ -3,6 +3,7 @@
 from itertools import product
 
 from montesinos import (
+    DegenerateSystemError,
     EdgepathSystem,
     Frac,
     MontesinosKnot,
@@ -94,3 +95,41 @@ def single_class_by_vertices(vertices) -> bool:
         for a, b in zip(vertices, vertices[1:])
     }
     return len(classes) == 1
+
+
+def solve_endpoints_by_fracs(choices):
+    """E3 solved as A * c = B in normalized ``Frac``s, the closed form the
+    integer kernel replaced: a_i = (p_i - r_i) / (q_i - s_i) and
+    b_i = s_i * a_i - r_i per moving path, R_j added to A per constant
+    one, c = B / A and t_i = (c - s_i) / (q_i - s_i). Returns
+    (weights, c) or None and raises DegenerateSystemError as the solver
+    does; a final edge with q_i == s_i raises ValueError from ``Frac``."""
+    moving = [ch for ch in choices if not ch.constant]
+    constants = [ch for ch in choices if ch.constant]
+    A = B = Frac(0)
+    for ch in moving:
+        left, right = ch.final_left, ch.final_right
+        a = Frac(left.num - right.num, left.den - right.den)
+        A = A + a
+        B = B + right.den * a - right.num
+    for ch in constants:
+        A = A + ch.tangle
+    if A == 0:
+        if B != 0:
+            return None
+        raise DegenerateSystemError(
+            "degenerate: endpoints form a continuous family for "
+            + "; ".join(str(ch) for ch in choices)
+        )
+    c = B / A
+    weights = []
+    for ch in moving:
+        q, s = ch.final_left.den, ch.final_right.den
+        t = (c - s) / (q - s)
+        if t <= 0 or t > 1:
+            return None
+        weights.append(t)
+    for ch in constants:
+        if c < ch.tangle.den:
+            return None
+    return tuple(weights), c

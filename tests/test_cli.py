@@ -168,6 +168,16 @@ def test_pair_gap_k19_names_the_family_pair(capsys):
     assert payload["pair"] == ["648/19", "205/6"]
 
 
+def test_pair_gap_json_names_the_parsed_knot(capsys):
+    # the raw argument is not echoed: the knot reads as enumerate --json has it
+    code, out, _ = run_cli(capsys, "pair-gap", "--json", "2/4, 1/3,1/5")
+    assert code == 0
+    assert json.loads(out)["knot"] == "1/2,1/3,1/5"
+    code, out, _ = run_cli(capsys, "enumerate", "--json", "2/4, 1/3,1/5")
+    assert code == 0
+    assert {report["knot"] for report in json.loads(out)} == {"1/2,1/3,1/5"}
+
+
 def test_pair_gap_no_pair(capsys, monkeypatch):
     # no real knot here yields fewer than two slopes; stub the report list
     import montesinos.cli as cli_module

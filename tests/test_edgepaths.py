@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from montesinos import (
     INF,
     Frac,
+    PathSkeleton,
     constant_path,
     edge_sign,
     enumerate_skeletons,
@@ -250,6 +251,26 @@ def test_render_notation():
     assert full.render() == "<inf> - <0> - <1/2> - <2/5>"
     const = constant_path(fr("-1/2"), fr("4/7"))
     assert const.render() == "(4/7)<-1/2> + (3/7)<-1/2>o"
+
+
+def test_render_walks_the_vertices_once(monkeypatch):
+    sk = skeleton("-1/2", "-1/2", "-1")
+    path, twin = sk.to_edgepath(Frac(1, 11)), sk.to_edgepath(Frac(1, 11))
+    walks = [0]
+    vertices = PathSkeleton.vertices
+
+    def counted(node):
+        walks[0] += 1
+        return vertices.fget(node)
+
+    monkeypatch.setattr(PathSkeleton, "vertices", property(counted))
+    text = path.render()
+    assert text == "(1/11)<-1> + (10/11)<-1/2> - <-1/2>" and walks[0] == 1
+    assert path.render() is text and walks[0] == 1
+    # the kept rendering takes no part in equality, hashing or repr
+    assert path == twin and hash(path) == hash(twin) and walks[0] == 1
+    assert twin.render() == text and walks[0] == 2
+    assert repr(path) == repr(sk.to_edgepath(Frac(1, 11))) and "render" not in repr(path)
 
 
 def test_malformed_paths_rejected():

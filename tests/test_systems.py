@@ -1,5 +1,6 @@
 """Knot validation, the exact endpoint solve, enumeration, Seifert detection."""
 
+import random
 from itertools import product
 
 import pytest
@@ -25,7 +26,8 @@ from montesinos.cli import main
 from montesinos.rationals import INF
 from montesinos.systems import _c_range, _meeting_combinations, solver_choices
 
-from helpers import fr, knot, skeleton
+from helpers import fr, knot, skeleton, solve_endpoints_by_fracs
+from test_random_knots import KNOTS as RANDOM_KNOTS
 
 
 # -- knot validation -------------------------------------------------------
@@ -113,6 +115,121 @@ def test_solver_rejects_infinity_finals():
         solve_endpoints(
             [skeleton("1/2", "1/2", "0", "inf"), skeleton("-1/2", "-1/2", "0")]
         )
+
+
+def solve_outcome(solve, choices):
+    """What a solve gives, comparable across solvers: (weights, c), None,
+    the degenerate message, or "ValueError"."""
+    try:
+        result = solve(choices)
+    except DegenerateSystemError as exc:
+        return ("degenerate", str(exc))
+    except ValueError:
+        return "ValueError"
+    if result is None or isinstance(result, tuple):
+        return result
+    return result.weights, result.c
+
+
+def test_integer_kernel_matches_the_frac_closed_form():
+    # every solver combination, not only those whose c-ranges meet
+    kinds = set()
+    for k in [knot("-1/2,2/5,1/11"), knot("3/7,-5/13,8/21"), *RANDOM_KNOTS[:4]]:
+        for combo in product(*(solver_choices(sks) for sks in k.skeletons)):
+            if all(ch.constant for ch in combo):
+                continue
+            expected = solve_outcome(solve_endpoints_by_fracs, combo)
+            assert solve_outcome(solve_endpoints, combo) == expected, [str(ch) for ch in combo]
+            if expected is None:
+                kinds.add("rejected")
+            else:
+                kinds.add("degenerate" if expected[0] == "degenerate" else "accepted")
+    assert kinds == {"accepted", "rejected", "degenerate"}
+
+
+def random_hand_built_choices(rng):
+    """Three hand-built choices from ``PathSkeleton.from_vertices``: final
+    edges that need not be Farey edges, with q_i > s_i as well as
+    q_i < s_i (never equal, vertical or toward <inf>), and now and then a
+    constant marker."""
+    choices = []
+    for _ in range(3):
+        tangle = Frac(rng.randint(-9, 9), rng.randint(2, 9))
+        if rng.random() < 0.25:
+            choices.append(PathSkeleton(tangle, constant=True))
+            continue
+        verts = [tangle]
+        for _ in range(rng.randint(1, 2)):
+            while True:
+                v = Frac(rng.randint(-9, 9), rng.randint(1, 12))
+                if v.den != verts[-1].den:
+                    break
+            verts.append(v)
+        choices.append(PathSkeleton.from_vertices(tangle, verts))
+    return choices
+
+
+def test_integer_kernel_matches_the_frac_closed_form_on_hand_built_chains():
+    rng = random.Random(20261018)
+    accepted_rising = rejected = 0
+    for _ in range(3000):
+        choices = random_hand_built_choices(rng)
+        if all(ch.constant for ch in choices):
+            continue
+        expected = solve_outcome(solve_endpoints_by_fracs, choices)
+        assert solve_outcome(solve_endpoints, choices) == expected, [str(ch) for ch in choices]
+        if expected is None:
+            rejected += 1
+        elif any(not ch.constant and ch.final_left.den > ch.final_right.den for ch in choices):
+            accepted_rising += 1
+    # the sample accepts solves through final edges with q_i > s_i
+    assert accepted_rising and rejected
+
+
+def test_final_edge_between_equal_denominators_is_refused():
+    # <1/3> - <2/3> joins no Farey neighbours; the closed form divides by 0
+    equal = PathSkeleton.from_vertices(fr("1/3"), [fr("1/3"), fr("2/3")])
+    choices = [equal, skeleton("1/2", "1/2", "0"), skeleton("1/5")]
+    with pytest.raises(ValueError):
+        solve_endpoints_by_fracs(choices)
+    with pytest.raises(ValueError, match="equal denominators"):
+        solve_endpoints(choices)
+
+
+def test_constant_marker_at_infinity_is_refused():
+    choices = [skeleton("1/2", "1/2", "0"), PathSkeleton(INF, constant=True), skeleton("1/5")]
+    with pytest.raises(ValueError):
+        solve_endpoints_by_fracs(choices)
+    with pytest.raises(ValueError, match="infinite"):
+        solve_endpoints(choices)
+
+
+def test_rejected_solve_builds_no_frac(monkeypatch):
+    k = knot("-1/2,2/5,1/21")
+    combos = [
+        combo
+        for combo in product(*(solver_choices(sks) for sks in k.skeletons))
+        if not all(ch.constant for ch in combo)
+    ]
+    built = [0]
+    frac_init = Frac.__init__
+
+    def counted_init(self, num, den=1):
+        built[0] += 1
+        frac_init(self, num, den)
+
+    monkeypatch.setattr(Frac, "__init__", counted_init)
+    counts = {"accepted": set(), "rejected": set(), "degenerate": set()}
+    for combo in combos:
+        before = built[0]
+        try:
+            kind = "rejected" if solve_endpoints(combo) is None else "accepted"
+        except DegenerateSystemError:
+            kind = "degenerate"
+        counts[kind].add(built[0] - before)
+    assert counts["rejected"] == {0}
+    assert counts["degenerate"] <= {0}
+    assert counts["accepted"] and 0 not in counts["accepted"]
 
 
 # -- enumeration ---------------------------------------------------------------
