@@ -26,8 +26,10 @@ import sys
 from itertools import groupby, product
 
 from .bruteforce import brute_force_endpoints, normalize_weight_vector
-from .rationals import Frac, decimal_str
+from .family import verify_family_row
+from .rationals import decimal_str
 from .systems import (
+    ALL_TYPES,
     DEFAULT_COMBINATION_CAP,
     CapExceededError,
     DegenerateSystemError,
@@ -53,20 +55,28 @@ DEFAULT_TYPES = ("I", "III")
 
 def _knot_reports(spec: str, include_types, cap: int, dedupe: bool):
     knot = MontesinosKnot.parse(spec)
-    reports, _, diagnostics = analyze(knot, cap)
-    reports = [r for r in reports if r.system.system_type in include_types]
+    reports, _, diagnostics = analyze(knot, include_types, cap)
     if dedupe:
         # reports are sorted by slope: keep the first of each run
         reports = [next(run) for _, run in groupby(reports, key=lambda r: r.slope)]
-    for d in diagnostics:
-        print(f"note: {d.kind}: {d.detail}", file=sys.stderr)
+    for note in diagnostics:
+        print(f"note: {note}", file=sys.stderr)
     return knot, reports
 
 
-def _print_csv(header, rows):
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ";".join(value)
+    return "" if value is None else str(value)
+
+
+def _print_csv(columns, rows):
+    """One CSV line per row dict, the dicts the JSON output prints, cut to ``columns``."""
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow(columns)
+    writer.writerows([_csv_cell(row[c]) for c in columns] for row in rows)
 
 
 def _emit_reports(reports, fmt: str):
@@ -74,7 +84,7 @@ def _emit_reports(reports, fmt: str):
         print(json.dumps([r.to_dict() for r in reports], indent=2))
         return
     if fmt == "csv":
-        _print_csv(CSV_COLUMNS, [r.to_csv_row() for r in reports])
+        _print_csv(CSV_COLUMNS, [r.to_dict() for r in reports])
         return
     header = f"{'slope':>12} {'type':<4} {'twist':>8} {'sheets':>6} {'euler':>5} {'bdry':>4} {'essential':<12} seifert"
     print(header)
@@ -118,7 +128,7 @@ def _cross_check(knot: MontesinosKnot, m_max: int = 64) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    include = ("I", "II", "III") if args.all_types else DEFAULT_TYPES
+    include = ALL_TYPES if args.all_types else DEFAULT_TYPES
     knot, reports = _knot_reports(args.knot, include, args.cap, args.dedupe)
     if args.cross_check and _cross_check(knot):
         return EXIT_VERIFY_FAILED
@@ -126,88 +136,17 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
-def family_knot(n: int) -> MontesinosKnot:
-    return MontesinosKnot.parse(f"-1/2,2/5,1/{n}")
-
-
-def expected_family_slopes(n: int) -> tuple[Frac, Frac]:
-    return Frac(2 * (n - 1) ** 2, n), Frac(2 * (n * n - 9 * n + 15), n - 7)
-
-
-def expected_family_gap(n: int) -> Frac:
-    return Frac(2) * (Frac(1, n - 7) - Frac(1, n))
-
-
-def verify_family_row(n: int, cap: int = DEFAULT_COMBINATION_CAP) -> dict:
-    """One family check; the row carries pass/fail and the failed fields."""
-    reports, ref_twist, _ = analyze(family_knot(n), cap)
-    slope_small, slope_big = expected_family_slopes(n)
-    failures = []
-
-    def pick(slope):
-        return [r for r in reports if r.slope == slope]
-
-    small = pick(slope_small)
-    big = pick(slope_big)
-    if not any(r.essential == "proven" and r.essential_reason == "common-sign" for r in small):
-        failures.append("slope_small")
-    if not any(r.essential == "proven" and r.essential_reason == "constant-path" for r in big):
-        failures.append("slope_big")
-    if ref_twist != 4 - 2 * n:
-        failures.append("reference_twist")
-    ref_reports = [r for r in reports if r.seifert_flag]
-    if not ref_reports or any(r.slope != 0 for r in ref_reports):
-        failures.append("reference_slope")
-    if not any(r.sheets == n and r.euler == -n and r.boundary_components == 1 for r in small):
-        failures.append("surface_small_invariants")
-    if not any(
-        r.sheets == n - 7 and r.euler == -(n - 7) and r.boundary_components == 2 and r.notes
-        for r in big
-    ):
-        failures.append("surface_big_invariants")
-    gap = slope_big - slope_small
-    if gap != expected_family_gap(n):
-        failures.append("gap")
-    return {
-        "n": n,
-        "slope_small": str(slope_small),
-        "slope_big": str(slope_big),
-        "gap": str(gap),
-        "gap_decimal": decimal_str(gap),
-        "reference_twist": str(ref_twist),
-        "pass": not failures,
-        "failures": failures,
-    }
-
-
 def cmd_verify_family(args) -> int:
     from_n, to_n = args.from_n, args.to_n if args.to_n is not None else args.from_n
     if from_n < 11 or to_n < from_n or from_n % 2 == 0 or to_n % 2 == 0:
         print("verify-family needs odd bounds with 11 <= from <= to", file=sys.stderr)
         return EXIT_USAGE
-    rows = []
-    all_ok = True
-    for n in range(from_n, to_n + 1, 2):
-        row = verify_family_row(n, args.cap)
-        rows.append(row)
-        all_ok = all_ok and row["pass"]
+    rows = [verify_family_row(n, args.cap) for n in range(from_n, to_n + 1, 2)]
     if args.format == "json":
         print(json.dumps(rows, indent=2))
     elif args.format == "csv":
         _print_csv(
-            ["n", "pass", "slope_small", "slope_big", "gap", "reference_twist", "failures"],
-            [
-                [
-                    row["n"],
-                    "true" if row["pass"] else "false",
-                    row["slope_small"],
-                    row["slope_big"],
-                    row["gap"],
-                    row["reference_twist"],
-                    ";".join(row["failures"]),
-                ]
-                for row in rows
-            ],
+            ("n", "pass", "slope_small", "slope_big", "gap", "reference_twist", "failures"), rows
         )
     else:
         for row in rows:
@@ -216,11 +155,11 @@ def cmd_verify_family(args) -> int:
                 f"n={row['n']} {status} slopes={row['slope_small']},{row['slope_big']} "
                 f"gap={row['gap']} seifert_twist={row['reference_twist']}"
             )
-    return EXIT_OK if all_ok else EXIT_VERIFY_FAILED
+    return EXIT_OK if all(row["pass"] for row in rows) else EXIT_VERIFY_FAILED
 
 
 def cmd_pair_gap(args) -> int:
-    include = ("I", "II", "III") if args.all_types else DEFAULT_TYPES
+    include = ALL_TYPES if args.all_types else DEFAULT_TYPES
     knot, reports = _knot_reports(args.knot, include, args.cap, dedupe=False)
     slopes = sorted({r.slope for r in reports})
     if len(slopes) < 2:
@@ -229,12 +168,9 @@ def cmd_pair_gap(args) -> int:
         else:
             print("no pair: fewer than two distinct slopes")
         return EXIT_OK
-    best = None
-    for a, b in zip(slopes, slopes[1:]):
-        gap = b - a
-        if best is None or gap < best[0]:
-            best = (gap, a, b)
-    gap, low, high = best
+    # the first of the closest neighbours, as min keeps the first minimum
+    low, high = min(zip(slopes, slopes[1:]), key=lambda pair: pair[1] - pair[0])
+    gap = high - low
     if args.format == "json":
         print(
             json.dumps(
@@ -270,12 +206,13 @@ def cmd_seifert(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser, with_knot=True, with_cap=True):
+def _add_common(parser, with_knot=True, with_cap=True, with_csv=True):
     if with_knot:
         parser.add_argument("knot", help="comma-separated tangle fractions, e.g. -1/2,2/5,1/11")
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--json", dest="format", action="store_const", const="json")
-    group.add_argument("--csv", dest="format", action="store_const", const="csv")
+    if with_csv:
+        group.add_argument("--csv", dest="format", action="store_const", const="csv")
     if with_cap:
         parser.add_argument("--cap", type=int, default=DEFAULT_COMBINATION_CAP)
     parser.set_defaults(format="text")
@@ -302,12 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_family)
 
     p = sub.add_parser("pair-gap", help="minimal difference between distinct slopes")
-    _add_common(p)
+    _add_common(p, with_csv=False)  # one result, printed as text or JSON
     p.add_argument("--all-types", action="store_true", help="include type II systems")
     p.set_defaults(func=cmd_pair_gap)
 
     p = sub.add_parser("seifert", help="show the slope-zero reference system")
-    _add_common(p, with_cap=False)  # the Seifert search enumerates no combinations
+    # the Seifert search enumerates no combinations; its one system prints
+    # as text or JSON
+    _add_common(p, with_cap=False, with_csv=False)
     p.set_defaults(func=cmd_seifert)
 
     return parser

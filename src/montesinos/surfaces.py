@@ -21,17 +21,21 @@ Essentiality is reported as "proven" only where one of the two sufficient
 conditions applies to a type I system: all final edges share one sign, or
 at least one path is constant. Everything else is "undetermined"; the
 package never claims a surface is inessential.
+
+``analyze`` is the whole pipeline for one knot, and it builds systems and
+reports only of the types its caller asks for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from typing import NamedTuple, Sequence
 
 from .rationals import Frac
 from .systems import (
+    ALL_TYPES,
     DEFAULT_COMBINATION_CAP,
-    Diagnostic,
     EdgepathSystem,
     MontesinosKnot,
     enumerate_systems_with_diagnostics,
@@ -159,19 +163,6 @@ class SurfaceReport:
             "notes": list(self.notes),
         }
 
-    def to_csv_row(self) -> list[str]:
-        return [
-            self.system.knot.spec_string,
-            self.system.system_type,
-            str(self.slope),
-            str(self.twist),
-            str(self.sheets),
-            "" if self.euler is None else str(self.euler),
-            str(self.boundary_components),
-            self.essential,
-            "true" if self.seifert_flag else "false",
-        ]
-
 
 def build_report(system: EdgepathSystem, reference_twist: Frac) -> SurfaceReport:
     twist = system_twist(system)
@@ -221,12 +212,23 @@ def build_reports(systems, reference_twist: Frac) -> list[SurfaceReport]:
     return reports
 
 
+class Analysis(NamedTuple):
+    """What ``analyze`` computes for one knot."""
+
+    reports: list[SurfaceReport]
+    reference_twist: Frac
+    diagnostics: list[str]
+
+
 def analyze(
-    knot: MontesinosKnot, cap: int = DEFAULT_COMBINATION_CAP
-) -> tuple[list[SurfaceReport], Frac, list[Diagnostic]]:
+    knot: MontesinosKnot,
+    types: Sequence[str] = ALL_TYPES,
+    cap: int = DEFAULT_COMBINATION_CAP,
+) -> Analysis:
     """The whole computation for one knot: the reports of every candidate
-    system (the cap is checked first), the Seifert reference twist they
-    are measured against, and the enumeration's diagnostics."""
-    systems, diagnostics = enumerate_systems_with_diagnostics(knot, cap)
+    system of the requested types (the cap is checked first, over all
+    three), the Seifert reference twist they are measured against, and the
+    enumeration's degeneracy notes."""
+    systems, diagnostics = enumerate_systems_with_diagnostics(knot, cap, types)
     reference_twist = system_twist(find_seifert_system(knot))
-    return build_reports(systems, reference_twist), reference_twist, diagnostics
+    return Analysis(build_reports(systems, reference_twist), reference_twist, diagnostics)

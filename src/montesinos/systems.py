@@ -49,7 +49,8 @@ skeletons by it before taking the product, builds each surviving path
 once, and only counts odd penultimate vertices per combination.
 ``is_seifert_candidate`` derives both conditions again from the vertex
 values. Both the enumeration and the search read the knot's skeletons,
-which are enumerated once per knot.
+which are enumerated once per knot. The enumeration builds only the
+types it is asked for.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ from .farey import angle, is_farey_edge, same_triangle, uv_coords
 from .rationals import Frac
 
 DEFAULT_COMBINATION_CAP = 10**7
+ALL_TYPES = ("I", "II", "III")
 
 
 class DegenerateSystemError(Exception):
@@ -262,12 +264,6 @@ def system_twist(system: EdgepathSystem) -> Frac:
     return total
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    kind: str
-    detail: str
-
-
 def _build_solved_system(
     knot: MontesinosKnot, combo: Sequence[PathSkeleton], solution: EndpointSolution
 ) -> EdgepathSystem:
@@ -341,9 +337,10 @@ def _meeting_combinations(per_tangle: Sequence[Sequence[PathSkeleton]]):
 
 
 def enumerate_systems_with_diagnostics(
-    knot: MontesinosKnot, cap: int = DEFAULT_COMBINATION_CAP
-) -> tuple[list[EdgepathSystem], list[Diagnostic]]:
-    """All candidate systems of the knot, plus degeneracy diagnostics.
+    knot: MontesinosKnot, cap: int = DEFAULT_COMBINATION_CAP, types: Sequence[str] = ALL_TYPES
+) -> tuple[list[EdgepathSystem], list[str]]:
+    """The knot's candidate systems of the requested types, plus
+    degeneracy notes.
 
     Type I and II systems with isolated endpoints come from the exact
     solve over the combinations of open-final-edge truncations and
@@ -356,6 +353,9 @@ def enumerate_systems_with_diagnostics(
     yields the same twist, hence the same slope). Type III systems are
     all combinations of maximal skeletons. Each arrival and maximal path
     is built once and shared by every combination it appears in.
+
+    ``types`` decides only what is built: the cap counts all three
+    products and every meeting combination is solved, whatever it holds.
     """
     per_tangle = knot.skeletons
     solvable = [solver_choices(sks) for sks in per_tangle]
@@ -364,58 +364,50 @@ def enumerate_systems_with_diagnostics(
         [sk for sk in sks if sk.n_edges >= 1 and sk.final_left.is_integer] for sks in per_tangle
     ]
 
-    total = 0
-    for group in (solvable, maximal, arrivals):
-        count = 1
-        for options in group:
-            count *= len(options)
-        total += count
+    total = sum(math.prod(map(len, group)) for group in (solvable, maximal, arrivals))
     if total > cap:
         raise CapExceededError(f"{total} skeleton combinations exceed the cap of {cap}")
 
     systems: list[EdgepathSystem] = []
-    diagnostics: list[Diagnostic] = []
+    diagnostics: list[str] = []
 
     for combo in _meeting_combinations(solvable):
         if all(ch.constant for ch in combo):
-            tangle_sum = Frac(0)
-            for f in knot.tangles:
-                tangle_sum = tangle_sum + f
-            if tangle_sum == 0:
+            if sum(knot.tangles, Frac(0)) == 0:
                 diagnostics.append(
-                    Diagnostic(
-                        "degenerate",
-                        "all-constant combination: endpoints form a continuous family",
-                    )
+                    "degenerate: all-constant combination: endpoints form a continuous family"
                 )
             continue
         try:
             solution = solve_endpoints(combo)
         except DegenerateSystemError as exc:
-            diagnostics.append(Diagnostic("degenerate", str(exc)))
+            diagnostics.append(str(exc))
             continue
-        if solution is not None:
+        # an accepted c is at least 1, and u = 1 - 1/c is 0 exactly at c = 1
+        if solution is not None and ("II" if solution.c == 1 else "I") in types:
             systems.append(_build_solved_system(knot, combo, solution))
 
-    built_arrivals = [[(ch, ch.to_edgepath()) for ch in options] for options in arrivals]
-    for combo in product(*built_arrivals):
-        shift = -sum(ch.final_left.num for ch, _ in combo)
-        if shift == 0:
-            continue  # already found by the solver with every weight at 1
-        direction = 1 if shift > 0 else -1
-        absorber = next(
-            (i for i, (ch, _) in enumerate(combo) if direction in _vertical_directions(ch)),
-            None,
-        )
-        if absorber is None:
-            continue
-        paths = [path for _, path in combo]
-        paths[absorber] = _extended_path(combo[absorber][0], shift)
-        systems.append(EdgepathSystem(knot, tuple(paths), Frac(0)))
+    if "II" in types:
+        built_arrivals = [[(ch, ch.to_edgepath()) for ch in options] for options in arrivals]
+        for combo in product(*built_arrivals):
+            shift = -sum(ch.final_left.num for ch, _ in combo)
+            if shift == 0:
+                continue  # already found by the solver with every weight at 1
+            direction = 1 if shift > 0 else -1
+            absorber = next(
+                (i for i, (ch, _) in enumerate(combo) if direction in _vertical_directions(ch)),
+                None,
+            )
+            if absorber is None:
+                continue
+            paths = [path for _, path in combo]
+            paths[absorber] = _extended_path(combo[absorber][0], shift)
+            systems.append(EdgepathSystem(knot, tuple(paths), Frac(0)))
 
-    built_maximal = [[ch.to_edgepath() for ch in options] for options in maximal]
-    for paths in product(*built_maximal):
-        systems.append(EdgepathSystem(knot, paths, Frac(-1)))
+    if "III" in types:
+        built_maximal = [[ch.to_edgepath() for ch in options] for options in maximal]
+        for paths in product(*built_maximal):
+            systems.append(EdgepathSystem(knot, paths, Frac(-1)))
 
     systems.sort(key=lambda s: s._sort_key())
     return systems, diagnostics

@@ -30,11 +30,11 @@ from montesinos import (
     validate_system,
 )
 from montesinos import PartialPoint, diagram_edge, edge_sign
-from montesinos.cli import (
+from montesinos.cli import main
+from montesinos.family import (
     expected_family_gap,
     expected_family_slopes,
     family_knot,
-    main,
     verify_family_row,
 )
 from montesinos.systems import DegenerateSystemError

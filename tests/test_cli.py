@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -207,6 +208,33 @@ def test_seifert_has_no_cap_option(capsys):
         main(["seifert", "--cap", "5", "-1/2,2/5,1/11"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pair-gap", "seifert"])
+def test_csv_is_not_offered_where_nothing_writes_it(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--csv", "-1/2,2/5,1/11"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --csv" in capsys.readouterr().err
+
+
+def test_default_enumerate_builds_no_type_II_report(capsys, monkeypatch):
+    import montesinos.surfaces as surfaces_module
+
+    real = surfaces_module.build_report
+    built = Counter()
+
+    def counted(system, reference_twist):
+        built[system.system_type] += 1
+        return real(system, reference_twist)
+
+    monkeypatch.setattr(surfaces_module, "build_report", counted)
+    code, _, _ = run_cli(capsys, "enumerate", "3/7,-5/13,8/21,13/34")
+    assert code == 0
+    assert built == {"I": 80, "III": 945}
+    code, out, _ = run_cli(capsys, "enumerate", "--all-types", "--json", "3/7,-5/13,8/21,13/34")
+    assert code == 0
+    assert Counter(r["type"] for r in json.loads(out)) == {"I": 80, "II": 925, "III": 945}
 
 
 def test_seifert_json(capsys):

@@ -16,6 +16,7 @@ from montesinos import (
     find_seifert_system,
     validate_system,
 )
+from montesinos.family import family_knot
 
 from helpers import twist_and_length_by_edge
 
@@ -97,3 +98,24 @@ def test_outcome_is_a_knot_invariant(k):
         assert outcome(diagram) == expected, name
     # the mirror image negates every slope and keeps every other field
     assert outcome([-f for f in t], slope_sign=-1) == expected, "mirror"
+
+
+def _analysis(k, **kwargs):
+    try:
+        reports, reference_twist, diagnostics = analyze(k, **kwargs)
+    except SeifertReferenceError:
+        return "refused"
+    return [r.to_dict() for r in reports], reference_twist, diagnostics
+
+
+@pytest.mark.parametrize(
+    "k",
+    KNOTS + [family_knot(n) for n in range(11, 42, 2)],
+    ids=lambda k: k.spec_string,
+)
+def test_requested_types_are_the_full_analysis_filtered(k):
+    expected = _analysis(k)
+    if expected != "refused":
+        reports, reference_twist, diagnostics = expected
+        expected = [r for r in reports if r["type"] != "II"], reference_twist, diagnostics
+    assert _analysis(k, types=("I", "III")) == expected

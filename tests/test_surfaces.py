@@ -1,5 +1,7 @@
 """Twists, slopes, sheets, Euler characteristics, essentiality, reports."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -17,6 +19,7 @@ from montesinos import (
     number_of_sheets,
     system_twist,
 )
+from montesinos.cli import _print_csv
 from montesinos.surfaces import CSV_COLUMNS, IntegrityError
 
 from helpers import fr, knot
@@ -157,7 +160,7 @@ def test_mixed_signs_without_constant_is_undetermined():
     assert essentiality(system) == ("undetermined", None)
 
 
-def test_report_serialization(k11):
+def test_report_serialization(k11, capsys):
     _, _, _, reports = k11
     small = next(r for r in reports if r.slope == fr("200/11"))
     payload = small.to_dict()
@@ -173,7 +176,11 @@ def test_report_serialization(k11):
         "type": "I",
     }
     assert json.loads(json.dumps(payload)) == payload
-    assert len(small.to_csv_row()) == len(CSV_COLUMNS)
+    # the CSV row is written from the same dict, one cell per column
+    _print_csv(CSV_COLUMNS, [payload])
+    header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert header == list(CSV_COLUMNS)
+    assert row == ["-1/2,2/5,1/11", "I", "200/11", "2/11", "11", "-11", "1", "proven", "false"]
 
 
 def test_reports_sorted_by_slope_then_type(k11):

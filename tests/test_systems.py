@@ -329,7 +329,7 @@ def test_pruning_keeps_every_system(spec, monkeypatch):
 
 def _degenerate_notes(capsys, spec):
     assert main(["enumerate", spec]) == 0
-    prefix = "note: degenerate: degenerate: endpoints form a continuous family for "
+    prefix = "note: degenerate: endpoints form a continuous family for "
     lines = capsys.readouterr().err.splitlines()
     return [line[len(prefix):] for line in lines if line.startswith(prefix)]
 
