@@ -9,11 +9,11 @@ Subcommands:
 
 Knots are written as comma-separated fractions, e.g. "-1/2,2/5,1/11".
 Output is byte-deterministic for a fixed invocation. Exit codes: 0 ok,
-1 verification failure, 2 usage or parse error, 3 combination cap hit,
-4 internal invariant failure (a report identity broke, or a degenerate
-endpoint solve escaped its handler), 5 no usable Seifert reference (none,
-or several with unequal twists), 141 stdout closed early (e.g. by
-``| head``).
+1 verification failure, 2 usage or parse error, 3 a size limit was hit
+(the combination cap, or memory), 4 internal invariant failure (a report
+identity broke, or a degenerate endpoint solve escaped its handler), 5 no
+usable Seifert reference (none, or several with unequal twists), 141
+stdout closed early (e.g. by ``| head``).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import sys
 from itertools import groupby, product
 
 from .bruteforce import brute_force_endpoints, normalize_weight_vector
+from .edgepaths import enumerate_skeletons
 from .family import verify_family_row
 from .rationals import decimal_str
 from .systems import (
@@ -103,7 +104,7 @@ def _emit_reports(reports, fmt: str):
 def _cross_check(knot: MontesinosKnot, m_max: int = 64) -> int:
     """Diff the exact solver against the integer-weight scan; the number
     of mismatching combinations is returned."""
-    per_tangle = [solver_choices(sks) for sks in knot.skeletons]
+    per_tangle = [solver_choices(enumerate_skeletons(f)) for f in knot.tangles]
     checked = mismatched = 0
     for combo in product(*per_tangle):
         if all(ch.constant for ch in combo):
@@ -286,6 +287,10 @@ def main(argv=None) -> int:
         # interpreter exit does not raise a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except MemoryError:
+        pass  # reported below, once the traceback and the frames it holds are freed
+    print("error: out of memory", file=sys.stderr)
+    return EXIT_CAP
 
 
 if __name__ == "__main__":

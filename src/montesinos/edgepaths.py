@@ -32,9 +32,7 @@ closed forms
 
 with t = 1 for a path ending at a vertex. Each node carries its edge
 count and the running sum of its edges' signs, so both forms, and the
-final sign (the node's sum minus its parent's), are read in O(1). A node
-also carries the mod-2 class of its edges when they all share one, which
-the Seifert parity test reads.
+final sign (the node's sum minus its parent's), are read in O(1).
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ from .farey import (
     horizontal_edge,
     uv_coords,
 )
-from .rationals import Frac
+from .rationals import INF, Frac
 
 
 # -- signs -------------------------------------------------------------------
@@ -64,17 +62,6 @@ def edge_sign(right: Frac, left: Frac) -> int | None:
     return 1 if left > right else -1
 
 
-#: The edge class of a node whose edges do not all share one mod-2 class,
-#: or that has no edges.
-MIXED = 0
-
-
-def _edge_class(a: Frac, b: Frac) -> int:
-    """The mod-2 class of the edge <a>-<b>: one bit for each of its ends'
-    reductions (num mod 2, den mod 2), so the class is the unordered pair."""
-    return 1 << ((a.num & 1) | (a.den & 1) << 1) | 1 << ((b.num & 1) | (b.den & 1) << 1)
-
-
 # -- skeletons -----------------------------------------------------------------
 
 
@@ -84,12 +71,11 @@ class PathSkeleton:
     final edge of a non-maximal skeleton is "open": an endpoint solve
     decides where on it the path stops.
 
-    Besides its last vertex and its parent, a node holds its edge count,
-    the running sum of its edges' signs (unsigned edges count 0) and its
-    edge class: the one mod-2 class all its edges share, or ``MIXED``.
+    Besides its last vertex and its parent, a node holds its edge count
+    and the running sum of its edges' signs (unsigned edges count 0).
     """
 
-    __slots__ = ("tangle", "final_left", "parent", "n_edges", "sign_sum", "edge_class", "constant")
+    __slots__ = ("tangle", "final_left", "parent", "n_edges", "sign_sum", "constant")
 
     def __init__(self, tangle: Frac, constant: bool = False):
         """The root: the shape of no edges at the tangle vertex, or, with
@@ -97,7 +83,6 @@ class PathSkeleton:
         self.tangle = self.final_left = tangle
         self.parent = None
         self.n_edges = self.sign_sum = 0
-        self.edge_class = MIXED
         self.constant = constant
 
     @classmethod
@@ -116,19 +101,14 @@ class PathSkeleton:
     def child(self, vertex: Frac, sign: int | None = None) -> PathSkeleton:
         """This shape extended by one edge to <vertex>, in O(1). The edge's
         sign is computed by ``edge_sign`` unless given (0 for unsigned)."""
-        right = self.final_left
         if sign is None:
-            sign = edge_sign(right, vertex) or 0
-        edge_class = _edge_class(right, vertex)
-        if self.n_edges and edge_class != self.edge_class:
-            edge_class = MIXED
+            sign = edge_sign(self.final_left, vertex) or 0
         node = object.__new__(PathSkeleton)  # __init__ builds roots only
         node.tangle = self.tangle
         node.final_left = vertex
         node.parent = self
         node.n_edges = self.n_edges + 1
         node.sign_sum = self.sign_sum + sign
-        node.edge_class = edge_class
         node.constant = False
         return node
 
@@ -151,11 +131,6 @@ class PathSkeleton:
     @property
     def is_maximal(self) -> bool:
         return self.final_left.is_infinite
-
-    @property
-    def single_class(self) -> bool:
-        """Whether the node has edges and they all share one mod-2 class."""
-        return self.edge_class != MIXED
 
     def to_edgepath(self, final_weight: Frac | None = None) -> Edgepath:
         if self.constant:
@@ -371,4 +346,37 @@ def enumerate_skeletons(tangle: Frac) -> list[PathSkeleton]:
         for yn, yd, sign in reversed(moves):
             if abs(bn * yd - bd * yn) != 1:
                 stack.append(node.child(Frac(yn, yd), sign))
+    return out
+
+
+def single_class_maximal_skeletons(tangle: Frac) -> list[PathSkeleton]:
+    """The tangle's maximal skeletons whose edges all share one mod-2
+    class, each found by a walk that builds no tree.
+
+    A Farey triangle's vertices reduce mod 2 (num mod 2, den mod 2) to 1/0,
+    0/1 and 1/1, so every edge joins two different reductions, and exactly
+    one of a vertex's two parents has any given other reduction. Such a
+    path ends with an edge into <inf> (1/0), so it alternates between 1/0
+    and one partner: the tangle's own reduction for an odd q, one path;
+    0/1 or 1/1 for an even q, two paths, with penultimate integers of
+    opposite parity. Each walk takes, at each fraction, the parent of the
+    other reduction of the pair (sign -1 for the smaller, +1 for the
+    larger, as in the descent), then steps to <inf> with sign 0. No two
+    consecutive edges of one class bound a triangle, whose third side would
+    join equal reductions, so each walk is minimal and a path of the
+    descent tree.
+    """
+    if tangle.is_infinite or tangle.is_integer:
+        raise ValueError(f"tangle {tangle} is not a rational tangle")
+    partners = (tangle.num & 1,) if tangle.den % 2 else (0, 1)  # each partner x/1 by x
+    out = []
+    for partner in partners:
+        node, p, q = PathSkeleton(tangle), tangle.num, tangle.den
+        while q != 1:
+            (r, s), (r1, s1) = farey_parent_terms(p, q)
+            # an odd q moves to its even parent, an even q to its partner x/1
+            smaller = s % 2 == 0 if q % 2 else r % 2 == partner
+            p, q, sign = (r, s, -1) if smaller else (r1, s1, 1)
+            node = node.child(Frac(p, q), sign)
+        out.append(node.child(INF, 0))
     return out

@@ -50,16 +50,11 @@ class IntegrityError(Exception):
     input outside the machinery's stated scope."""
 
 
-def _constant_weight(path, common_u: Frac) -> Frac:
-    # invert u = 1 - t/q for the weight on the interior vertex
-    return (Frac(1) - common_u) * Frac(path.tangle.den)
-
-
 def number_of_sheets(system: EdgepathSystem) -> int:
     factors = [1]
     for path in system.paths:
         if path.is_constant:
-            t = _constant_weight(path, system.common_u)
+            t = path.constant_point.weight_left
             if t <= 0 or t > 1:
                 raise IntegrityError(f"constant weight {t} outside (0, 1]")
             factors.append(t.num)

@@ -41,23 +41,29 @@ Systems come in three kinds by the common final u-coordinate: type I
 (u > 0, solved endpoints in the open region), type II (u = 0, endpoints
 on the v-axis, possibly after motion along vertical edges, which changes
 no twist), and type III (every path runs to <inf>, where E3 holds
-trivially). The Seifert reference among type III systems is detected by
-two parity conditions on the reduced mod-2 vertex labels. The first, a
-single mod-2 edge class, is a condition on each path alone, which every
-skeleton node carries, so the search filters every tangle's maximal
-skeletons by it before taking the product, builds each surviving path
-once, and only counts odd penultimate vertices per combination.
-``is_seifert_candidate`` derives both conditions again from the vertex
-values. Both the enumeration and the search read the knot's skeletons,
-which are enumerated once per knot. The enumeration builds only the
-types it is asked for.
+trivially). The enumeration builds only the types it is asked for.
+
+Slopes are twists measured against a Seifert surface, which has slope
+zero. Following Hatcher and Oertel's Seifert-surface criterion (Topology
+28, 1989), in Dunfield's description of it (Topology 40, 2001), the
+reference is a type III system meeting two conditions on the vertex
+labels reduced mod 2, (num mod 2, den mod 2): every edge of each path
+joins the same two reductions, and an even number of paths have an odd
+penultimate integer, the vertex before <inf>. The first condition is on
+each path alone and has a closed form: a Farey triangle's vertices reduce
+to 1/0, 0/1 and 1/1, so a single-class maximal path alternates between
+1/0, the reduction of <inf>, and one partner reduction, and is a walk
+taking at each vertex the one parent of the other reduction; an odd
+denominator has one such path, an even one two. The search walks them
+(``edgepaths.single_class_maximal_skeletons``) and only counts odd
+penultimate vertices per combination; ``is_seifert_candidate`` derives
+both conditions again from the vertex values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from typing import Sequence
 
@@ -66,6 +72,7 @@ from .edgepaths import (
     PathSkeleton,
     constant_path,
     enumerate_skeletons,
+    single_class_maximal_skeletons,
 )
 from .farey import angle, is_farey_edge, same_triangle, uv_coords
 from .rationals import Frac
@@ -122,13 +129,6 @@ class MontesinosKnot:
 
     def __str__(self) -> str:
         return f"M({', '.join(str(f) for f in self.tangles)})"
-
-    @cached_property
-    def skeletons(self) -> tuple[tuple[PathSkeleton, ...], ...]:
-        """Each tangle's skeletons, enumerated once per knot and shared by
-        the system enumeration and the Seifert search: O(1) tree nodes
-        each, so O(L) memory for a tangle whose paths have L edges."""
-        return tuple(tuple(enumerate_skeletons(f)) for f in self.tangles)
 
 
 # -- endpoint solving --------------------------------------------------------
@@ -357,7 +357,7 @@ def enumerate_systems_with_diagnostics(
     ``types`` decides only what is built: the cap counts all three
     products and every meeting combination is solved, whatever it holds.
     """
-    per_tangle = knot.skeletons
+    per_tangle = [enumerate_skeletons(f) for f in knot.tangles]
     solvable = [solver_choices(sks) for sks in per_tangle]
     maximal = [[sk for sk in sks if sk.is_maximal] for sks in per_tangle]
     arrivals = [
@@ -494,14 +494,11 @@ def validate_system(system: EdgepathSystem) -> Violation | None:
 # -- Seifert reference ---------------------------------------------------------
 
 
-def _edge_parity(a: Frac, b: Frac) -> frozenset:
-    return frozenset(((a.num % 2, a.den % 2), (b.num % 2, b.den % 2)))
-
-
 def _single_parity_class(verts: Sequence[Frac]) -> bool:
-    """Whether every edge along the vertex sequence has one mod-2 class."""
-    classes = {_edge_parity(a, b) for a, b in zip(verts, verts[1:])}
-    return len(classes) == 1
+    """Whether every edge along the vertex sequence joins the same two
+    mod-2 reductions (num mod 2, den mod 2) of its ends."""
+    reductions = [(v.num % 2, v.den % 2) for v in verts]
+    return len({frozenset(pair) for pair in zip(reductions, reductions[1:])}) == 1
 
 
 def penultimate_vertex(path: Edgepath) -> Frac:
@@ -514,9 +511,9 @@ def penultimate_vertex(path: Edgepath) -> Frac:
 def is_seifert_candidate(system: EdgepathSystem) -> bool:
     """The two parity conditions for representing a Seifert surface:
     every path uses edges of a single mod-2 class, and the number of paths
-    whose penultimate vertex is an odd integer is even. The edge classes
-    are derived from the vertex values, not read from the nodes, so this
-    stays a check on the search, which reads them."""
+    whose penultimate vertex is an odd integer is even. The search walks
+    the parities; this derives both conditions from the vertex values, so
+    it stays a check on the search."""
     if system.system_type != "III":
         return False
     if not all(_single_parity_class(p.vertices) for p in system.paths):
@@ -525,14 +522,11 @@ def is_seifert_candidate(system: EdgepathSystem) -> bool:
     return odd % 2 == 0
 
 
-def _reference_paths(skeletons: Sequence[PathSkeleton]) -> list[tuple[Edgepath, bool]]:
-    """Each maximal skeleton of a single mod-2 class (its stored edge
-    class) as its path, built once, and whether its penultimate vertex,
-    its parent's, is odd."""
+def _reference_paths(tangle: Frac) -> list[tuple[Edgepath, bool]]:
+    """Each single-class maximal path, walked, and whether its penultimate vertex is odd."""
     return [
         (sk.to_edgepath(), sk.final_right.num % 2 != 0)
-        for sk in skeletons
-        if sk.is_maximal and sk.single_class
+        for sk in single_class_maximal_skeletons(tangle)
     ]
 
 
@@ -541,13 +535,11 @@ def find_seifert_system(knot: MontesinosKnot) -> EdgepathSystem:
     both parity conditions. All passing systems must agree on the twist;
     disagreement or absence is an error, never silently resolved.
 
-    The single-class condition is per path, so each tangle's maximal
-    skeletons are filtered before the product, and only the product of the
-    survivors is walked, counting odd penultimate vertices. "First" is the
-    system order, which for type III systems is the order of the rendered
-    paths.
+    Only the product of each tangle's walked single-class paths is taken,
+    counting odd penultimate vertices. "First" is the system order, for
+    type III systems the order of the rendered paths.
     """
-    per_tangle = [_reference_paths(sks) for sks in knot.skeletons]
+    per_tangle = [_reference_paths(f) for f in knot.tangles]
     candidates = [
         EdgepathSystem(knot, tuple(path for path, _ in combo), Frac(-1))
         for combo in product(*per_tangle)

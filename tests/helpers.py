@@ -1,7 +1,10 @@
 """Shared test helpers."""
 
+import os
 from itertools import product
+from pathlib import Path
 
+import montesinos
 from montesinos import (
     DegenerateSystemError,
     EdgepathSystem,
@@ -28,6 +31,13 @@ def skeleton(tangle: str, *vertices: str):
         if not sk.constant and sk.vertices == tuple(fr(v) for v in vertices):
             return sk
     raise AssertionError(f"no skeleton {vertices} for {tangle}")
+
+
+def child_env() -> dict:
+    """The environment for a child Python process that imports this
+    checkout's package, whether or not it is installed."""
+    src = str(Path(montesinos.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def knot(spec: str) -> MontesinosKnot:

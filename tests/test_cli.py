@@ -1,17 +1,16 @@
 """Command-line behaviour: formats, determinism, exit codes."""
 
 import json
-import os
 import subprocess
 import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
-import montesinos
 import montesinos.systems as systems_module
 from montesinos.cli import main
+
+from helpers import child_env
 
 
 def run_cli(capsys, *argv):
@@ -272,6 +271,19 @@ def test_internal_invariant_exit_code(capsys, monkeypatch):
         assert err == f"error: {error}\n"
 
 
+def test_out_of_memory_exits_3_without_traceback(capsys, monkeypatch):
+    import montesinos.cli as cli_module
+
+    def exhausted(tangle):
+        raise MemoryError
+
+    monkeypatch.setattr(systems_module, "enumerate_skeletons", exhausted)
+    code, out, err = run_cli(capsys, "enumerate", "-1/2,2/5,1/11")
+    assert code == cli_module.EXIT_CAP == 3
+    assert out == ""
+    assert err == "error: out of memory\n"
+
+
 @pytest.mark.parametrize("command", ["enumerate", "pair-gap", "seifert"])
 def test_no_reference_exit_code(capsys, command):
     import montesinos.cli as cli_module
@@ -289,18 +301,12 @@ def test_cross_check_flag(capsys):
     assert "0 mismatches" in err
 
 
-def _cli_env():
-    # the child imports this checkout's package whether or not it is installed
-    src = str(Path(montesinos.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "montesinos.cli", "verify-family", "--from", "11"],
         capture_output=True,
         text=True,
-        env=_cli_env(),
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert "n=11 PASS" in proc.stdout
@@ -313,7 +319,7 @@ def test_early_stdout_close_exits_141_without_traceback():
         [sys.executable, "-m", "montesinos.cli", "enumerate", "--json", "--all-types", "3/7,-5/13,8/21"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=_cli_env(),
+        env=child_env(),
     )
     assert proc.stdout.readline() == b"[\n"
     proc.stdout.close()
@@ -327,7 +333,7 @@ def test_early_stdout_close_exits_141_without_traceback():
     [
         (("enumerate", "-1/2,2/5,1/11"), 3),
         (("verify-family", "--from", "11", "--to", "13"), 6),
-        (("seifert", "-1/2,2/5,1/11"), 3),
+        (("seifert", "-1/2,2/5,1/11"), 0),  # the parity walk builds no tree
     ],
 )
 def test_skeletons_are_enumerated_once_per_tangle(capsys, monkeypatch, argv, calls):
@@ -373,7 +379,7 @@ def test_deep_tangle_runs_in_linear_memory(argv):
         [sys.executable, "-c", RSS_LAUNCHER, RSS_PROBE, *argv],
         capture_output=True,
         text=True,
-        env=_cli_env(),
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     if argv[0] == "seifert":

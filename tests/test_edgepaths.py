@@ -20,7 +20,6 @@ from montesinos import (
 from helpers import (
     fr,
     sign_by_definition,
-    single_class_by_vertices,
     skeleton,
     twist_and_length_by_edge,
 )
@@ -186,7 +185,6 @@ def test_closed_form_twist_and_length_match_the_edge_sum(tangle, data):
         verts = sk.vertices
         path = sk.to_edgepath()
         assert path.last_sign() == sign_by_definition(verts[-2], verts[-1])
-        assert sk.single_class == single_class_by_vertices(verts)
         assert path.twist() == twist_and_length_by_edge(path)[0]
         if sk.is_maximal:
             assert penultimate_vertex(path).num % 2 == verts[-2].num % 2

@@ -2,14 +2,17 @@
 
 import random
 import re
+import subprocess
+import sys
 from math import gcd
 
 import pytest
 
 from montesinos import Frac, SeifertReferenceError, enumerate_skeletons, find_seifert_system
 from montesinos import systems as systems_module
+from montesinos.edgepaths import single_class_maximal_skeletons
 
-from helpers import family_spec, knot, seifert_search_oracle, single_class_by_vertices
+from helpers import child_env, family_spec, knot, seifert_search_oracle, single_class_by_vertices
 
 
 def search_outcome(search, spec):
@@ -61,9 +64,13 @@ def test_pretzel_333_is_refused():
 
 
 def test_disagreeing_twists_are_refused(monkeypatch):
-    def every_maximal(skeletons):
-        # drop the single-class filter: every maximal path is a candidate
-        return [(sk.to_edgepath(), sk.vertices[-2].num % 2 != 0) for sk in skeletons if sk.is_maximal]
+    def every_maximal(tangle):
+        # drop the single-class condition: every maximal path is a candidate
+        return [
+            (sk.to_edgepath(), sk.vertices[-2].num % 2 != 0)
+            for sk in enumerate_skeletons(tangle)
+            if sk.is_maximal
+        ]
 
     monkeypatch.setattr(systems_module, "_reference_paths", every_maximal)
     message = "ambiguous reference for M(-1/2, 2/5, 1/11): twists ['-14', '-18', '-26', '0', '4']"
@@ -71,22 +78,65 @@ def test_disagreeing_twists_are_refused(monkeypatch):
         find_seifert_system(knot(family_spec(11)))
 
 
+def check_walk_against_the_tree(tangle):
+    """The parity walk's paths equal the tree's maximal paths that pass
+    ``single_class_by_vertices`` (vertices, twists and lengths): one for an
+    odd denominator, two with opposite penultimate parities for an even one."""
+    expected = [
+        sk for sk in enumerate_skeletons(tangle) if sk.is_maximal and single_class_by_vertices(sk.vertices)
+    ]
+    walked = sorted(single_class_maximal_skeletons(tangle), key=lambda sk: sk.vertices)
+
+    def shape(sk):
+        path = sk.to_edgepath()
+        return sk.vertices, path.twist(), path.length()
+
+    assert [shape(sk) for sk in walked] == [shape(sk) for sk in expected], str(tangle)
+    parities = sorted(sk.vertices[-2].num % 2 for sk in expected)
+    assert parities in ([[0], [1]] if tangle.den % 2 else [[0, 1]]), str(tangle)
+
+
 def test_single_class_maximal_skeletons_by_denominator_parity():
     """Every p/q with 2 <= q < 30, |p| < 3q: an odd q has exactly one
     maximal skeleton of a single mod-2 class, an even q exactly two, with
-    penultimate vertices of opposite parity. Read from the vertices and
-    from the nodes' stored classes alike."""
+    penultimate vertices of opposite parity, and the parity walk finds
+    exactly those the tree's vertices pass."""
     for q in range(2, 30):
         for p in range(1 - 3 * q, 3 * q):
-            if gcd(p, q) != 1:
-                continue
-            maximal = [sk for sk in enumerate_skeletons(Frac(p, q)) if sk.is_maximal]
-            by_vertices = [
-                sk.vertices[-2].num % 2 for sk in maximal if single_class_by_vertices(sk.vertices)
-            ]
-            by_node = [sk.final_right.num % 2 for sk in maximal if sk.single_class]
-            assert by_node == by_vertices, f"{p}/{q}"
-            if q % 2:
-                assert len(by_node) == 1, f"{p}/{q}"
-            else:
-                assert sorted(by_node) == [0, 1], f"{p}/{q}"
+            if gcd(p, q) == 1:
+                check_walk_against_the_tree(Frac(p, q))
+
+
+def test_parity_walk_on_seeded_fractions():
+    """500 seeded fractions with denominators up to 1,000."""
+    rng = random.Random(1989)
+    for _ in range(500):
+        q = rng.randrange(2, 1001)
+        p = rng.choice([p for p in range(1 - 3 * q, 3 * q) if gcd(p, q) == 1])
+        check_walk_against_the_tree(Frac(p, q))
+
+
+def test_parity_walk_rejects_non_tangles():
+    for value in (Frac(3), Frac(1, 0)):
+        with pytest.raises(ValueError, match="not a rational tangle"):
+            single_class_maximal_skeletons(value)
+
+
+# Runs the Seifert search under a 1 GB address-space limit, set in the child.
+LONG_QUOTIENT_SEARCH = (
+    "import resource\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+    "from montesinos import MontesinosKnot, find_seifert_system, is_seifert_candidate, system_twist, validate_system\n"
+    "system = find_seifert_system(MontesinosKnot.parse('999999937/1000000007,1/3,1/2'))\n"
+    "print(len(system.paths), validate_system(system) is None, is_seifert_candidate(system), system_twist(system))\n"
+)
+
+
+def test_reference_skips_a_long_partial_quotient():
+    # 1000000007/70 has the partial quotient 14,285,713: the tangle's tree
+    # has a chain that long, and its single-class path steps past it
+    proc = subprocess.run(
+        [sys.executable, "-c", LONG_QUOTIENT_SEARCH], capture_output=True, text=True, env=child_env(), timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "3 True True -14\n"

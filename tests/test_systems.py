@@ -135,7 +135,7 @@ def test_integer_kernel_matches_the_frac_closed_form():
     # every solver combination, not only those whose c-ranges meet
     kinds = set()
     for k in [knot("-1/2,2/5,1/11"), knot("3/7,-5/13,8/21"), *RANDOM_KNOTS[:4]]:
-        for combo in product(*(solver_choices(sks) for sks in k.skeletons)):
+        for combo in product(*(solver_choices(enumerate_skeletons(f)) for f in k.tangles)):
             if all(ch.constant for ch in combo):
                 continue
             expected = solve_outcome(solve_endpoints_by_fracs, combo)
@@ -208,7 +208,7 @@ def test_rejected_solve_builds_no_frac(monkeypatch):
     k = knot("-1/2,2/5,1/21")
     combos = [
         combo
-        for combo in product(*(solver_choices(sks) for sks in k.skeletons))
+        for combo in product(*(solver_choices(enumerate_skeletons(f)) for f in k.tangles))
         if not all(ch.constant for ch in combo)
     ]
     built = [0]
