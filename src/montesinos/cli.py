@@ -207,6 +207,13 @@ def cmd_seifert(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
+
 def _add_common(parser, with_knot=True, with_cap=True, with_csv=True):
     if with_knot:
         parser.add_argument("knot", help="comma-separated tangle fractions, e.g. -1/2,2/5,1/11")
@@ -215,7 +222,7 @@ def _add_common(parser, with_knot=True, with_cap=True, with_csv=True):
     if with_csv:
         group.add_argument("--csv", dest="format", action="store_const", const="csv")
     if with_cap:
-        parser.add_argument("--cap", type=int, default=DEFAULT_COMBINATION_CAP)
+        parser.add_argument("--cap", type=_positive_int, default=DEFAULT_COMBINATION_CAP)
     parser.set_defaults(format="text")
 
 

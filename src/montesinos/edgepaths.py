@@ -13,10 +13,10 @@ A tangle's path shapes form a tree rooted at its vertex: a
 its parent, the shape one edge shorter, so every shape costs O(1) memory
 and the vertex sequence is read back by walking the parent pointers. The
 skeleton descent yields only leftward Farey neighbours;
-``path_from_vertices`` builds every pair from elsewhere as a diagram edge,
-which rejects any other. An ``Edgepath`` is a node plus where the path
-stops on the node's last edge, and its diagram edges are built only where
-validation reads them.
+``path_from_vertices`` checks every pair from elsewhere with
+``farey.diagram_edge``, which rejects any other. An ``Edgepath`` is a node
+plus where the path stops on the node's last edge, or, for a constant
+path, its weight on the tangle vertex.
 
 A path is type I, II or III according to the sign of its final
 u-coordinate (positive, zero, negative). Each non-boundary edge strictly
@@ -39,14 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .farey import (
-    Edge,
-    PartialPoint,
-    diagram_edge,
-    farey_parent_terms,
-    horizontal_edge,
-    uv_coords,
-)
+from .farey import diagram_edge, diagram_uv, farey_parent_terms, horizontal_uv
 from .rationals import INF, Frac
 
 
@@ -168,14 +161,15 @@ class Edgepath:
     stopping weight in ``final_weight``, strictly between 0 and 1; a path
     ending at a vertex stores None (``PathSkeleton.to_edgepath`` normalizes
     a solved weight of 1 to a fully traversed final edge). Constant paths
-    hold a node with no edges and store their point on the tangle's
+    hold a node with no edges and store only ``constant_weight``, in
+    [0, 1], the weight on the tangle vertex of their point on its
     horizontal edge. ``render`` computes the path's string once and keeps
     it in a slot that takes no part in equality, hashing or ``repr``.
     """
 
     skeleton: PathSkeleton
     final_weight: Frac | None = None
-    constant_point: PartialPoint | None = None
+    constant_weight: Frac | None = None
     _rendered: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -183,12 +177,11 @@ class Edgepath:
         if tangle.is_infinite or tangle.is_integer:
             raise ValueError(f"tangle {tangle} is not a rational tangle")
         n_edges = self.skeleton.n_edges
-        if self.constant_point is not None:
+        if self.constant_weight is not None:
             if n_edges or self.final_weight is not None:
                 raise ValueError("constant path cannot have steps")
-            edge = self.constant_point.edge
-            if edge.kind != "horizontal" or edge.end.value != tangle:
-                raise ValueError("constant point off the tangle's horizontal edge")
+            if not 0 <= self.constant_weight <= 1:  # <inf> compares above 1
+                raise ValueError(f"weight {self.constant_weight} outside [0, 1]")
             return
         if not n_edges:
             raise ValueError("empty path: use a constant path instead")
@@ -209,24 +202,13 @@ class Edgepath:
 
     @property
     def is_constant(self) -> bool:
-        return self.constant_point is not None
-
-    @property
-    def steps(self) -> tuple[Edge, ...]:
-        """The diagram edges in traversal order, built from the vertices."""
-        verts = self.vertices
-        return tuple(map(diagram_edge, verts, verts[1:]))
-
-    def endpoint(self):
-        if self.is_constant:
-            return self.constant_point
-        last = diagram_edge(self.skeleton.final_right, self.skeleton.final_left)
-        if self.final_weight is not None:
-            return PartialPoint(last, self.final_weight)
-        return last.end
+        return self.constant_weight is not None
 
     def endpoint_uv(self) -> tuple[Frac, Frac]:
-        return uv_coords(self.endpoint())
+        if self.is_constant:
+            return horizontal_uv(self.tangle, self.constant_weight)
+        sk = self.skeleton
+        return diagram_uv(sk.final_left, sk.final_right, self.final_weight)
 
     @property
     def u0(self) -> Frac:
@@ -265,7 +247,7 @@ class Edgepath:
         if self._rendered is not None:
             return self._rendered
         if self.is_constant:
-            t = self.constant_point.weight_left
+            t = self.constant_weight
             f = self.tangle
             text = f"({t})<{f}> + ({Frac(1) - t})<{f}>o"
         else:
@@ -282,9 +264,9 @@ class Edgepath:
 
 def path_from_vertices(tangle: Frac, vertices, final_weight: Frac | None = None) -> Edgepath:
     """Build a moving path through vertex values from outside the skeleton
-    descent (right to left). Every pair is built as a diagram edge, so one
-    that is not a leftward Farey edge raises ValueError. A final weight of
-    1 is normalized to a fully traversed last edge."""
+    descent (right to left). Every pair is checked with ``diagram_edge``,
+    so one that is not a leftward Farey edge raises ValueError. A final
+    weight of 1 is normalized to a fully traversed last edge."""
     verts = tuple(vertices)
     for a, b in zip(verts, verts[1:]):
         diagram_edge(a, b)
@@ -292,8 +274,7 @@ def path_from_vertices(tangle: Frac, vertices, final_weight: Frac | None = None)
 
 
 def constant_path(tangle: Frac, weight_on_vertex: Frac) -> Edgepath:
-    point = PartialPoint(horizontal_edge(tangle), weight_on_vertex)
-    return Edgepath(PathSkeleton(tangle, constant=True), constant_point=point)
+    return Edgepath(PathSkeleton(tangle, constant=True), constant_weight=weight_on_vertex)
 
 
 # -- skeleton enumeration ----------------------------------------------------

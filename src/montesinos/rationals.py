@@ -56,15 +56,17 @@ class Frac:
 
     @classmethod
     def parse(cls, text: str) -> "Frac":
-        """Parse "p/q", "p", "-p/q" or "inf"."""
+        """Parse "p/q", "p", "-p/q" or "inf", in ASCII decimal digits."""
         s = text.strip()
         if s in ("inf", "+inf", "-inf"):
             return cls(1, 0)
+        terms = s.split("/", 1)
         try:
-            if "/" in s:
-                a, b = s.split("/", 1)
-                return cls(int(a), int(b))
-            return cls(int(s))
+            for term in terms:
+                digits = term.strip().lstrip("+-")
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError  # int() alone also reads "1_0" and non-ASCII digits
+            return cls(*map(int, terms))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a fraction: {text!r}") from exc
 

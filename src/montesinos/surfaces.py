@@ -54,7 +54,7 @@ def number_of_sheets(system: EdgepathSystem) -> int:
     factors = [1]
     for path in system.paths:
         if path.is_constant:
-            t = path.constant_point.weight_left
+            t = path.constant_weight
             if t <= 0 or t > 1:
                 raise IntegrityError(f"constant weight {t} outside (0, 1]")
             factors.append(t.num)

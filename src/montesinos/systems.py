@@ -74,7 +74,7 @@ from .edgepaths import (
     enumerate_skeletons,
     single_class_maximal_skeletons,
 )
-from .farey import angle, is_farey_edge, same_triangle, uv_coords
+from .farey import diagram_edge, diagram_uv, is_farey_edge
 from .rationals import Frac
 
 DEFAULT_COMBINATION_CAP = 10**7
@@ -271,8 +271,9 @@ def _build_solved_system(
     it = iter(solution.weights)
     for ch in combo:
         if ch.constant:
-            weight = Frac(ch.tangle.den) / solution.c
-            paths.append(constant_path(ch.tangle, weight))
+            # the weight q_j / c on the vertex puts the point at u = 1 - 1/c
+            c = solution.c
+            paths.append(constant_path(ch.tangle, Frac(ch.tangle.den * c.den, c.num)))
         else:
             paths.append(ch.to_edgepath(next(it)))
     return EdgepathSystem(knot, tuple(paths), solution.u0)
@@ -434,13 +435,16 @@ class Violation:
 
 def validate_system(system: EdgepathSystem) -> Violation | None:
     """Check E1 through E4 from the stored paths alone, independently of
-    how the system was produced. Returns the first violation, or None.
-    Each path's diagram edges are rebuilt once from its vertices, first; a
-    vertex pair that is not a leftward Farey edge is an E2 violation."""
-    steps = []
-    for i, path in enumerate(system.paths):
+    how the system was produced: it calls no solver and reads no stored
+    sign sum. Returns the first violation, or None. Every check is an
+    integer test on vertex values or a ``farey`` coordinate formula. Each
+    vertex pair is checked first with ``diagram_edge``; a pair that is not
+    a leftward Farey edge is an E2 violation."""
+    vertex_lists = [path.vertices for path in system.paths]
+    for i, verts in enumerate(vertex_lists):
         try:
-            steps.append(path.steps)
+            for a, b in zip(verts, verts[1:]):
+                diagram_edge(a, b)
         except ValueError as exc:
             return Violation("E2", i, str(exc))
     # E1: start on the tangle's horizontal edge; moving paths start at <R_i>
@@ -448,20 +452,18 @@ def validate_system(system: EdgepathSystem) -> Violation | None:
         if path.tangle != system.knot.tangles[i]:
             return Violation("E1", i, f"path serves {path.tangle}, tangle is {system.knot.tangles[i]}")
         if path.is_constant:
-            point = path.constant_point
-            if point.edge.end != angle(path.tangle):
-                return Violation("E1", i, "constant point off the horizontal edge")
-            if point.weight_left < 0 or point.weight_left > 1:
+            if not 0 <= path.constant_weight <= 1:
                 return Violation("E1", i, "constant weight outside [0, 1]")
-        elif steps[i][0].start != angle(path.tangle):
+        elif vertex_lists[i][0] != path.tangle:
             return Violation("E1", i, "moving path does not start at the tangle vertex")
-    # E2: minimality
-    for i, edges in enumerate(steps):
-        for a, b in zip(edges, edges[1:]):
-            if a.undirected() == b.undirected():
-                return Violation("E2", i, f"step {b} retraces {a}")
-            if same_triangle(a, b):
-                return Violation("E2", i, f"steps {a} and {b} lie on one triangle")
+    # E2: minimality over each vertex triple <a> - <x> - <b>: no retrace
+    # (a == b), and no run along two sides of one triangle (a, b joined)
+    for i, verts in enumerate(vertex_lists):
+        for a, x, b in zip(verts, verts[1:], verts[2:]):
+            if a == b:
+                return Violation("E2", i, f"step <{b}> - <{x}> retraces <{x}> - <{a}>")
+            if is_farey_edge(a, b):
+                return Violation("E2", i, f"steps <{x}> - <{a}> and <{b}> - <{x}> lie on one triangle")
     # E3: common vertical line, v-coordinates summing to zero
     coords = [p.endpoint_uv() for p in system.paths]
     us = {u for u, _ in coords}
@@ -479,12 +481,10 @@ def validate_system(system: EdgepathSystem) -> Violation | None:
     for i, path in enumerate(system.paths):
         if path.is_constant:
             continue
-        verts = path.vertices
+        us_along = [diagram_uv(v)[0] for v in vertex_lists[i]]
         if path.final_weight is not None:
             # the far vertex of a partial final edge is never reached
-            us_along = [uv_coords(angle(v))[0] for v in verts[:-1]] + [path.u0]
-        else:
-            us_along = [uv_coords(angle(v))[0] for v in verts]
+            us_along[-1] = path.u0
         for a, b in zip(us_along, us_along[1:]):
             if b > a:
                 return Violation("E4", i, "u-coordinate increases leftward")

@@ -22,14 +22,13 @@ from montesinos import (
     farey_parents,
     find_seifert_system,
     is_farey_edge,
-    mediant,
     normalize_weight_vector,
     solve_endpoints,
     system_twist,
-    uv_coords,
     validate_system,
 )
-from montesinos import PartialPoint, diagram_edge, edge_sign
+from montesinos import diagram_edge, edge_sign
+from montesinos.farey import diagram_uv
 from montesinos.cli import main
 from montesinos.family import (
     expected_family_gap,
@@ -188,10 +187,8 @@ def test_criterion_5_endpoints():
                 if ch.constant:
                     vs.append(ch.tangle)
                 else:
-                    point = PartialPoint(
-                        diagram_edge(ch.final_right, ch.final_left), next(weights)
-                    )
-                    u, v = uv_coords(point)
+                    diagram_edge(ch.final_right, ch.final_left)
+                    u, v = diagram_uv(ch.final_left, ch.final_right, next(weights))
                     assert str(u) == u_expect
                     vs.append(v)
             assert [str(v) for v in vs] == vs_expect
@@ -260,15 +257,15 @@ def test_criterion_7_structural():
         if f.is_integer:
             f = Frac(2 * f.num + 1, 2)
         a, b = farey_parents(f)
-        assert mediant(a, b) == f
+        assert Frac(a.num + b.num, a.den + b.den) == f  # the mediant
         assert is_farey_edge(a, b) and is_farey_edge(a, f) and is_farey_edge(b, f)
         assert a.den < f.den and b.den < f.den
         # a random point on the edge toward a parent stays on the segment
         t = Frac(rng.randrange(0, 8), 7)
         left, right = (a, f) if a.den < f.den else (f, a)
-        point = PartialPoint(diagram_edge(right, left), t)
-        pu, pv = uv_coords(point)
-        (lu, lv), (ru, rv) = uv_coords(point.edge.end), uv_coords(point.edge.start)
+        diagram_edge(right, left)
+        pu, pv = diagram_uv(left, right, t)
+        (lu, lv), (ru, rv) = diagram_uv(left), diagram_uv(right)
         assert (pu - lu) * (rv - lv) == (pv - lv) * (ru - lu)
         assert min(lu, ru) <= pu <= max(lu, ru)
     for n in (11, 13):

@@ -45,6 +45,11 @@ def test_enumerate_rejects_bad_fraction(capsys):
         code, out, err = run_cli(capsys, "enumerate", spec)
         assert (code, out) == (2, "")
         assert "error: not a fraction: ''" in err
+    # int() reads digit separators and non-ASCII digits; the parser does not
+    for spec in ("1_0/3_3,1/3,1/5", "\u0661/\u0662,1/3,1/5"):
+        code, out, err = run_cli(capsys, "enumerate", spec)
+        assert (code, out) == (2, "")
+        assert "not a fraction" in err
 
 
 def test_enumerate_cap_exit_code(capsys):
@@ -53,6 +58,17 @@ def test_enumerate_cap_exit_code(capsys):
         code, _, err = run_cli(capsys, "enumerate", "--cap", "3", spec)
         assert code == 3
         assert "cap" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv", [["enumerate", "1/2,1/3,1/5"], ["pair-gap", "1/2,1/3,1/5"], ["verify-family", "--from", "11"]]
+)
+def test_cap_must_be_positive(capsys, argv, cap):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--cap", cap])
+    assert exc.value.code == 2
+    assert f"argument --cap: {cap} is not a positive integer" in capsys.readouterr().err
 
 
 def test_enumerate_default_types_and_all_types(capsys):

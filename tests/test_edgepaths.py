@@ -233,6 +233,17 @@ def test_constant_path_is_type_one():
     assert path.endpoint_uv() == (fr("5/7"), fr("-1/2"))
 
 
+@pytest.mark.parametrize("weight", [Frac(3, 2), Frac(-1, 7), INF])
+def test_constant_weight_outside_the_horizontal_edge_is_refused(weight):
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        constant_path(fr("-1/2"), weight)
+
+
+def test_constant_weight_ends_are_the_edge_ends():
+    assert constant_path(fr("-1/2"), Frac(1)).endpoint_uv() == (fr("1/2"), fr("-1/2"))
+    assert constant_path(fr("-1/2"), Frac(0)).endpoint_uv() == (Frac(1), fr("-1/2"))
+
+
 # -- structure and rendering ----------------------------------------------
 
 

@@ -1,26 +1,19 @@
-"""Diagram combinatorics: adjacency, parents, triangles, coordinates."""
+"""Diagram combinatorics: adjacency, parents, leftward edges, triangles,
+coordinates."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from montesinos import (
-    INF,
-    Edge,
-    Frac,
-    PartialPoint,
-    angle,
-    circle,
-    diagram_edge,
-    farey_parents,
-    horizontal_edge,
-    is_farey_edge,
-    mediant,
-    same_triangle,
-    uv_coords,
-)
+from montesinos import INF, Frac, diagram_edge, farey_parents, is_farey_edge
+from montesinos.bruteforce import _denominator_scan_neighbours
+from montesinos.farey import diagram_uv, horizontal_uv
 
 from helpers import fr
+
+
+def mediant(a: Frac, b: Frac) -> Frac:
+    return Frac(a.num + b.num, a.den + b.den)
 
 
 def brute_force_parents(f: Frac):
@@ -101,54 +94,89 @@ def test_parent_properties(f):
     assert a.den < f.den and b.den < f.den
 
 
+# -- leftward edges -----------------------------------------------------
+
+
+def accepts(right: Frac, left: Frac) -> bool:
+    try:
+        diagram_edge(right, left)
+    except ValueError:
+        return False
+    return True
+
+
+def test_leftward_edges_against_the_denominator_scan():
+    # every reduced p/q with 2 <= q <= 30 and |p| < 3q, against each
+    # candidate r/s with s <= q + 1 near it and <inf>: accepted exactly
+    # when the scan lists it as a smaller-denominator neighbour
+    compared = 0
+    for q in range(2, 31):
+        for p in range(-3 * q + 1, 3 * q):
+            f = Frac(p, q)
+            if f.den != q:
+                continue
+            candidates = {INF}
+            for s in range(1, q + 2):
+                near = p * s // q
+                candidates.update(Frac(r, s) for r in range(near - 2, near + 4))
+            candidates.discard(f)
+            accepted = sorted(g for g in candidates if accepts(f, g))
+            assert accepted == _denominator_scan_neighbours(f), str(f)
+            compared += 1
+    assert compared > 1000
+
+
+def test_integer_edges():
+    for z in range(-5, 6):
+        assert accepts(Frac(z), Frac(z + 1)) and accepts(Frac(z), Frac(z - 1))
+        assert accepts(Frac(z), INF)
+        assert not accepts(INF, Frac(z))
+        assert not accepts(Frac(z), Frac(z + 2))
+
+
 # -- triangles ----------------------------------------------------------
 
 
 def test_same_triangle_examples():
-    e1 = diagram_edge(fr("2/5"), fr("1/2"))
-    e2 = diagram_edge(fr("2/5"), fr("1/3"))
-    assert same_triangle(e1, e2)
-    e3 = diagram_edge(fr("1"), fr("0"))
-    e4 = diagram_edge(fr("0"), INF)
-    assert same_triangle(e3, e4)
-    e5 = diagram_edge(fr("1/2"), fr("0"))
-    e6 = diagram_edge(fr("0"), fr("-1"))
-    assert not same_triangle(e5, e6)
+    # edges <x>-<a> and <x>-<b> bound one triangle exactly when <a> and
+    # <b> are joined too: one determinant over the vertex triple
+    for right, left in (("2/5", "1/2"), ("2/5", "1/3"), ("1", "0"), ("0", "inf"), ("1/2", "0"), ("0", "-1")):
+        diagram_edge(fr(right), fr(left))
+    assert is_farey_edge(fr("1/2"), fr("1/3"))
+    assert is_farey_edge(fr("1"), INF)
+    assert not is_farey_edge(fr("1/2"), fr("-1"))
 
 
-def test_same_triangle_rejects_disjoint_and_equal():
-    e1 = diagram_edge(fr("2/5"), fr("1/2"))
+def test_same_triangle_rejects_equal():
+    # a triple <a> - <x> - <a> is a retrace, not a triangle
     with pytest.raises(ValueError):
-        same_triangle(e1, diagram_edge(fr("1/11"), fr("0")))
-    with pytest.raises(ValueError):
-        same_triangle(e1, e1)
+        is_farey_edge(fr("2/5"), fr("2/5"))
 
 
 # -- coordinates --------------------------------------------------------
 
 
 def test_vertex_coordinates():
-    assert uv_coords(angle(INF)) == (Frac(-1), Frac(0))
-    assert uv_coords(angle(fr("2/5"))) == (fr("4/5"), fr("2/5"))
-    assert uv_coords(circle(fr("2/5"))) == (Frac(1), fr("2/5"))
-    assert uv_coords(angle(fr("0"))) == (Frac(0), Frac(0))
+    assert diagram_uv(INF) == (Frac(-1), Frac(0))
+    assert diagram_uv(fr("2/5")) == (fr("4/5"), fr("2/5"))
+    assert horizontal_uv(fr("2/5"), Frac(0)) == (Frac(1), fr("2/5"))  # <2/5>o
+    assert diagram_uv(fr("0")) == (Frac(0), Frac(0))
 
 
 def test_partial_point_coordinates():
-    point = PartialPoint(diagram_edge(fr("-1/2"), fr("-1")), Frac(1, 11))
-    assert uv_coords(point) == (fr("10/21"), fr("-11/21"))
-    horizontal = PartialPoint(horizontal_edge(fr("-1/2")), fr("4/7"))
-    assert uv_coords(horizontal) == (fr("5/7"), fr("-1/2"))
+    assert diagram_uv(fr("-1"), fr("-1/2"), Frac(1, 11)) == (fr("10/21"), fr("-11/21"))
+    assert horizontal_uv(fr("-1/2"), fr("4/7")) == (fr("5/7"), fr("-1/2"))
 
 
 def test_partial_point_degeneration():
-    edge = diagram_edge(fr("2/5"), fr("1/2"))
-    assert uv_coords(PartialPoint(edge, Frac(0))) == uv_coords(angle(fr("2/5")))
-    assert uv_coords(PartialPoint(edge, Frac(1))) == uv_coords(angle(fr("1/2")))
+    left, right = fr("1/2"), fr("2/5")
+    assert diagram_uv(left, right, Frac(0)) == diagram_uv(right)
+    assert diagram_uv(left, right, Frac(1)) == diagram_uv(left)
+    assert horizontal_uv(left, Frac(1)) == diagram_uv(left)
 
 
 def test_u_coordinate_increases_with_denominator():
-    us = [uv_coords(angle(Frac(1, q)))[0] for q in range(1, 30)]
+    us = [diagram_uv(Frac(1, q))[0] for q in range(1, 30)]
     assert all(a < b for a, b in zip(us, us[1:]))
     assert all(Frac(0) < u < Frac(1) for u in us[1:])
 
@@ -160,19 +188,18 @@ def test_points_are_collinear_with_edge_ends(f, k, l):
     a, b = farey_parents(f)
     # weight k on the left (smaller-u) end, l on the right
     left, right = (a, f) if a.den < f.den else (f, a)
-    edge = diagram_edge(right, left)
-    point = PartialPoint(edge, Frac(k, k + l))
-    pu, pv = uv_coords(point)
-    lu, lv = uv_coords(edge.end)
-    ru, rv = uv_coords(edge.start)
+    diagram_edge(right, left)
+    pu, pv = diagram_uv(left, right, Frac(k, k + l))
+    lu, lv = diagram_uv(left)
+    ru, rv = diagram_uv(right)
     cross = (pu - lu) * (rv - lv) - (pv - lv) * (ru - lu)
     assert cross == 0
 
 
 def test_edge_direction_enforced():
-    with pytest.raises(ValueError):
-        diagram_edge(fr("1/2"), fr("2/5"))  # runs left to right
-    with pytest.raises(ValueError):
-        diagram_edge(fr("1/2"), fr("1/5"))  # not neighbours
-    with pytest.raises(ValueError):
-        Edge(angle(INF), angle(fr("0")))  # cannot leave <inf>
+    with pytest.raises(ValueError, match="runs left to right"):
+        diagram_edge(fr("1/2"), fr("2/5"))
+    with pytest.raises(ValueError, match="are not neighbours"):
+        diagram_edge(fr("1/2"), fr("1/5"))
+    with pytest.raises(ValueError, match="cannot start at <inf>"):
+        diagram_edge(INF, fr("0"))

@@ -33,7 +33,10 @@ def test_non_integers_rejected():
 
 @pytest.mark.parametrize(
     "text,num,den",
-    [("2/5", 2, 5), ("-11/21", -11, 21), ("7", 7, 1), ("-3", -3, 1), ("inf", 1, 0), ("1/0", 1, 0)],
+    [
+        ("2/5", 2, 5), ("-11/21", -11, 21), ("7", 7, 1), ("-3", -3, 1), ("inf", 1, 0), ("1/0", 1, 0),
+        (" 2/5\n", 2, 5), ("+3/ -4", -3, 4), (" -inf ", 1, 0),
+    ],
 )
 def test_parse(text, num, den):
     f = Frac.parse(text)
@@ -44,6 +47,17 @@ def test_parse_rejects_garbage():
     for bad in ("", "a/b", "1/2/3", "0/0", "1.5"):
         with pytest.raises(ValueError):
             Frac.parse(bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    # digit separators, Arabic-Indic, full-width and superscript digits,
+    # all of which int() reads
+    ["1_0/3_3", "1_0", "2/1_1", "\u0661/\u0662", "1/\u0663", "\uff17", "2/\u00b3", "--5", "+-5"],
+)
+def test_parse_reads_only_ascii_decimal_integers(bad):
+    with pytest.raises(ValueError, match="not a fraction"):
+        Frac.parse(bad)
 
 
 def test_str_roundtrip():
