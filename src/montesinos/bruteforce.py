@@ -117,8 +117,8 @@ def _is_minimal(vertices: tuple[Frac, ...]) -> bool:
 
 def exhaustive_paths(tangle: Frac, max_edges: int) -> list[PathSkeleton]:
     """All valid leftward paths with at most max_edges edges, by unpruned
-    search plus an after-the-fact minimality filter; includes the constant
-    marker and every prefix, in the same order as enumerate_skeletons."""
+    search plus an after-the-fact minimality filter; includes the root and
+    every prefix, in the same order as enumerate_skeletons."""
     if tangle.is_infinite or tangle.is_integer:
         raise ValueError(f"tangle {tangle} is not a rational tangle")
     all_paths: list[tuple[Frac, ...]] = []
@@ -134,6 +134,6 @@ def exhaustive_paths(tangle: Frac, max_edges: int) -> list[PathSkeleton]:
         all_paths.extend(grown)
         frontier = grown
     valid = sorted(p for p in all_paths if _is_minimal(p))
-    out = [PathSkeleton(tangle, constant=True), PathSkeleton(tangle)]
+    out = [PathSkeleton(tangle)]
     out.extend(PathSkeleton.from_vertices(tangle, verts) for verts in valid)
     return out

@@ -12,8 +12,8 @@ Output is byte-deterministic for a fixed invocation. Exit codes: 0 ok,
 1 verification failure, 2 usage or parse error, 3 a size limit was hit
 (the combination cap, or memory), 4 internal invariant failure (a report
 identity broke, or a degenerate endpoint solve escaped its handler), 5 no
-usable Seifert reference (none, or several with unequal twists), 141
-stdout closed early (e.g. by ``| head``).
+Seifert reference (every q_i odd and the p_i summing to an odd number),
+141 stdout closed early (e.g. by ``| head``).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from itertools import groupby, product
 from .bruteforce import brute_force_endpoints, normalize_weight_vector
 from .edgepaths import enumerate_skeletons
 from .family import verify_family_row
-from .rationals import decimal_str
+from .rationals import decimal_str, parse_int
 from .systems import (
     ALL_TYPES,
     DEFAULT_COMBINATION_CAP,
@@ -207,8 +207,15 @@ def cmd_seifert(args) -> int:
     return EXIT_OK
 
 
+def _integer(text: str) -> int:
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text} is not an integer") from None
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
     return value
@@ -241,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify-family", help="check the M(-1/2,2/5,1/n) slope-pair family")
-    p.add_argument("--from", dest="from_n", type=int, required=True)
-    p.add_argument("--to", dest="to_n", type=int, default=None)
+    p.add_argument("--from", dest="from_n", type=_integer, required=True)
+    p.add_argument("--to", dest="to_n", type=_integer, default=None)
     _add_common(p, with_knot=False)
     p.set_defaults(func=cmd_verify_family)
 

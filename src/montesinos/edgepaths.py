@@ -16,7 +16,7 @@ skeleton descent yields only leftward Farey neighbours;
 ``path_from_vertices`` checks every pair from elsewhere with
 ``farey.diagram_edge``, which rejects any other. An ``Edgepath`` is a node
 plus where the path stops on the node's last edge, or, for a constant
-path, its weight on the tangle vertex.
+path, the root (the shape of no edges) plus its weight on the vertex.
 
 A path is type I, II or III according to the sign of its final
 u-coordinate (positive, zero, negative). Each non-boundary edge strictly
@@ -60,23 +60,21 @@ def edge_sign(right: Frac, left: Frac) -> int | None:
 
 class PathSkeleton:
     """A path shape before endpoints are solved, as a node of its tangle's
-    skeleton tree, or the constant marker (a node with no edges). The
-    final edge of a non-maximal skeleton is "open": an endpoint solve
-    decides where on it the path stops.
+    skeleton tree; the root, with no edges, is the constant choice. The
+    final edge of any other non-maximal skeleton is "open": an endpoint
+    solve decides where on it the path stops.
 
     Besides its last vertex and its parent, a node holds its edge count
     and the running sum of its edges' signs (unsigned edges count 0).
     """
 
-    __slots__ = ("tangle", "final_left", "parent", "n_edges", "sign_sum", "constant")
+    __slots__ = ("tangle", "final_left", "parent", "n_edges", "sign_sum")
 
-    def __init__(self, tangle: Frac, constant: bool = False):
-        """The root: the shape of no edges at the tangle vertex, or, with
-        ``constant``, the constant marker."""
+    def __init__(self, tangle: Frac):
+        """The root: the shape of no edges at the tangle vertex."""
         self.tangle = self.final_left = tangle
         self.parent = None
         self.n_edges = self.sign_sum = 0
-        self.constant = constant
 
     @classmethod
     def from_vertices(cls, tangle: Frac, vertices) -> PathSkeleton:
@@ -102,7 +100,6 @@ class PathSkeleton:
         node.parent = self
         node.n_edges = self.n_edges + 1
         node.sign_sum = self.sign_sum + sign
-        node.constant = False
         return node
 
     @property
@@ -125,9 +122,11 @@ class PathSkeleton:
     def is_maximal(self) -> bool:
         return self.final_left.is_infinite
 
+    @property
+    def constant(self) -> bool:
+        return self.n_edges == 0
+
     def to_edgepath(self, final_weight: Frac | None = None) -> Edgepath:
-        if self.constant:
-            raise ValueError("constant marker needs a solved weight")
         if final_weight is not None and final_weight.num == final_weight.den:
             final_weight = None  # a weight of 1 traverses the whole edge
         return Edgepath(self, final_weight)
@@ -135,11 +134,10 @@ class PathSkeleton:
     def __eq__(self, other):
         if not isinstance(other, PathSkeleton):
             return NotImplemented
-        mine, theirs = (self.constant, self.tangle), (other.constant, other.tangle)
-        return self is other or (mine == theirs and self.vertices == other.vertices)
+        return self is other or (self.tangle == other.tangle and self.vertices == other.vertices)
 
     def __hash__(self):
-        return hash((self.constant, self.tangle, self.n_edges, self.final_left))
+        return hash((self.tangle, self.n_edges, self.final_left))
 
     def __repr__(self) -> str:
         return f"PathSkeleton({self})"
@@ -274,7 +272,7 @@ def path_from_vertices(tangle: Frac, vertices, final_weight: Frac | None = None)
 
 
 def constant_path(tangle: Frac, weight_on_vertex: Frac) -> Edgepath:
-    return Edgepath(PathSkeleton(tangle, constant=True), constant_weight=weight_on_vertex)
+    return Edgepath(PathSkeleton(tangle), constant_weight=weight_on_vertex)
 
 
 # -- skeleton enumeration ----------------------------------------------------
@@ -288,9 +286,9 @@ def enumerate_skeletons(tangle: Frac) -> list[PathSkeleton]:
     one triangle with the arriving edge; each integer reached continues to
     <inf>. Denominators strictly decrease along the descent, so no move
     retraces a step. Every node is emitted (solver choices truncate
-    skeletons anywhere), the maximal paths end at <inf>, and the constant
-    marker is included. Order: constant marker first, then the shapes
-    sorted by vertex sequence.
+    skeletons anywhere) and the maximal paths end at <inf>. Order: the
+    root, the constant choice, first, then the shapes sorted by vertex
+    sequence.
 
     The descent is an iterative pre-order walk with an explicit stack, so
     path length is not bounded by the recursion limit. Children are
@@ -301,7 +299,7 @@ def enumerate_skeletons(tangle: Frac) -> list[PathSkeleton]:
     """
     if tangle.is_infinite or tangle.is_integer:
         raise ValueError(f"tangle {tangle} is not a rational tangle")
-    out = [PathSkeleton(tangle, constant=True)]
+    out = []
     stack = [PathSkeleton(tangle)]
     while stack:
         node = stack.pop()
@@ -330,34 +328,33 @@ def enumerate_skeletons(tangle: Frac) -> list[PathSkeleton]:
     return out
 
 
-def single_class_maximal_skeletons(tangle: Frac) -> list[PathSkeleton]:
-    """The tangle's maximal skeletons whose edges all share one mod-2
-    class, each found by a walk that builds no tree.
+def single_class_maximal_skeleton(tangle: Frac, parity: int) -> PathSkeleton:
+    """The tangle's maximal skeleton whose edges all share one mod-2 class
+    and whose penultimate integer has the given parity, found by a walk
+    that builds no tree.
 
     A Farey triangle's vertices reduce mod 2 (num mod 2, den mod 2) to 1/0,
     0/1 and 1/1, so every edge joins two different reductions, and exactly
     one of a vertex's two parents has any given other reduction. Such a
     path ends with an edge into <inf> (1/0), so it alternates between 1/0
-    and one partner: the tangle's own reduction for an odd q, one path;
-    0/1 or 1/1 for an even q, two paths, with penultimate integers of
-    opposite parity. Each walk takes, at each fraction, the parent of the
-    other reduction of the pair (sign -1 for the smaller, +1 for the
-    larger, as in the descent), then steps to <inf> with sign 0. No two
-    consecutive edges of one class bound a triangle, whose third side would
-    join equal reductions, so each walk is minimal and a path of the
-    descent tree.
+    and its penultimate integer's reduction x/1: the tangle's own for an
+    odd q (any parity but p mod 2 raises ValueError), either for an even
+    q. The walk takes, at each fraction, the parent of the other reduction
+    of the pair (sign -1 for the smaller, +1 for the larger, as in the
+    descent), then steps to <inf> with sign 0. No two consecutive edges of
+    one class bound a triangle, whose third side would join equal
+    reductions, so the walk is minimal and a path of the descent tree.
     """
     if tangle.is_infinite or tangle.is_integer:
         raise ValueError(f"tangle {tangle} is not a rational tangle")
-    partners = (tangle.num & 1,) if tangle.den % 2 else (0, 1)  # each partner x/1 by x
-    out = []
-    for partner in partners:
-        node, p, q = PathSkeleton(tangle), tangle.num, tangle.den
-        while q != 1:
-            (r, s), (r1, s1) = farey_parent_terms(p, q)
-            # an odd q moves to its even parent, an even q to its partner x/1
-            smaller = s % 2 == 0 if q % 2 else r % 2 == partner
-            p, q, sign = (r, s, -1) if smaller else (r1, s1, 1)
-            node = node.child(Frac(p, q), sign)
-        out.append(node.child(INF, 0))
-    return out
+    p, q = tangle.num, tangle.den
+    if q % 2 and (p - parity) % 2:
+        raise ValueError(f"the single-class path of {tangle} ends on an integer of parity {p % 2}")
+    node = PathSkeleton(tangle)
+    while q != 1:
+        (r, s), (r1, s1) = farey_parent_terms(p, q)
+        # an odd q moves to its even parent, an even q to its partner x/1
+        smaller = s % 2 == 0 if q % 2 else (r - parity) % 2 == 0
+        p, q, sign = (r, s, -1) if smaller else (r1, s1, 1)
+        node = node.child(Frac(p, q), sign)
+    return node.child(INF, 0)

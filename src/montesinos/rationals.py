@@ -14,6 +14,15 @@ from decimal import Decimal, localcontext
 from math import gcd
 
 
+def parse_int(text: str) -> int:
+    """An optional sign and ASCII decimal digits, read as an integer;
+    ``int`` alone also reads "1_0", non-ASCII digits and whitespace."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 class Frac:
     """An irreducible fraction num/den with den >= 1, or infinity as 1/0.
 
@@ -60,14 +69,9 @@ class Frac:
         s = text.strip()
         if s in ("inf", "+inf", "-inf"):
             return cls(1, 0)
-        terms = s.split("/", 1)
         try:
-            for term in terms:
-                digits = term.strip().lstrip("+-")
-                if not (digits.isascii() and digits.isdigit()):
-                    raise ValueError  # int() alone also reads "1_0" and non-ASCII digits
-            return cls(*map(int, terms))
-        except (ValueError, ZeroDivisionError) as exc:
+            return cls(*(parse_int(term.strip()) for term in s.split("/", 1)))
+        except ValueError as exc:
             raise ValueError(f"not a fraction: {text!r}") from exc
 
     def __str__(self) -> str:

@@ -3,11 +3,11 @@
 A system assigns one edgepath per tangle. Beyond the per-path conditions
 (E1, E2, E4) the ending points must lie on one vertical line with their
 v-coordinates summing to zero (E3). Take one skeleton per tangle with an
-open final edge (plus constant markers), and write the endpoint of moving
-path i as weight t_i on the left vertex p_i/q_i of its final edge and
-1 - t_i on the right vertex r_i/s_i. Farey edges are straight lines in the
-uv-plane, so the common vertical line u = 1 - 1/c fixes every weight by
-the shared effective denominator c:
+open final edge, or its root, the constant choice, and write the
+endpoint of moving path i as weight t_i on the left vertex p_i/q_i of
+its final edge and 1 - t_i on the right vertex r_i/s_i. Farey edges are
+straight lines in the uv-plane, so the common vertical line u = 1 - 1/c
+fixes every weight by the shared effective denominator c:
 
     t_i = (c - s_i) / (q_i - s_i)
 
@@ -22,20 +22,21 @@ no solution. Otherwise c = B / A is accepted when every t_i lies in (0, 1]
 and every constant tangle satisfies c >= q_j (its point must stay on the
 horizontal edge).
 
+A final edge runs to a smaller denominator, q_i < s_i, as the descent
+guarantees and E4 demands; the solve refuses any other. Then
+t_i = (s_i - c) / (s_i - q_i) is in (0, 1] exactly when q_i <= c < s_i,
+so each choice is a c-interval: [q_i, s_i) for a moving path and
+[q_j, inf) for a constant one. The enumeration walks the tangles depth
+first and drops a branch once the running intersection is empty, so
+combinations that cannot meet are never built or solved.
+
 The solve runs in integers. With d_i = q_i - s_i, each b_i = s_i * a_i - r_i
 equals (s_i * p_i - r_i * q_i) / d_i, which is +-1/d_i because the Farey
 determinant of an edge is +-1. Over D = prod d_i * prod q_j, An = A * D and
 Bn = B * D are integers; negated together so that An > 0, they give
-c = Bn / An, and t_i = (Bn - s_i * An) / (d_i * An). Each range condition
-is then a comparison of integers, and a rejected solve builds no ``Frac``.
-
-When q_i < s_i, as skeleton descent guarantees, t_i = (s_i - c) / (s_i - q_i)
-is positive exactly when c < s_i and at most 1 exactly when c >= q_i, so
-t_i in (0, 1] is exactly q_i <= c < s_i. That makes each choice a
-c-interval: [q_i, s_i) for a moving path and [q_j, inf) for a constant
-one. The enumeration walks the tangles depth first and drops a
-branch once the running intersection is empty, so combinations that
-cannot meet are never built or solved.
+c = Bn / An, and t_i = (Bn - s_i * An) / (d_i * An). The intervals have
+integer ends, so each range condition compares only Bn // An, and a
+rejected solve builds no ``Frac``.
 
 Systems come in three kinds by the common final u-coordinate: type I
 (u > 0, solved endpoints in the open region), type II (u = 0, endpoints
@@ -53,10 +54,12 @@ penultimate integer, the vertex before <inf>. The first condition is on
 each path alone and has a closed form: a Farey triangle's vertices reduce
 to 1/0, 0/1 and 1/1, so a single-class maximal path alternates between
 1/0, the reduction of <inf>, and one partner reduction, and is a walk
-taking at each vertex the one parent of the other reduction; an odd
-denominator has one such path, an even one two. The search walks them
-(``edgepaths.single_class_maximal_skeletons``) and only counts odd
-penultimate vertices per combination; ``is_seifert_candidate`` derives
+taking at each vertex the one parent of the other reduction
+(``edgepaths.single_class_maximal_skeleton``). An odd q_i has one such
+path, ending on the parity of p_i; an even q_i has one per parity. A
+knot has at most one even q_i, so the second condition fixes the rest:
+the even tangle's path ends on the parity of the odd p_i's sum, and if
+every q_i is odd that sum must be even. ``is_seifert_candidate`` derives
 both conditions again from the vertex values.
 """
 
@@ -72,7 +75,7 @@ from .edgepaths import (
     PathSkeleton,
     constant_path,
     enumerate_skeletons,
-    single_class_maximal_skeletons,
+    single_class_maximal_skeleton,
 )
 from .farey import diagram_edge, diagram_uv, is_farey_edge
 from .rationals import Frac
@@ -91,7 +94,7 @@ class CapExceededError(Exception):
 
 
 class SeifertReferenceError(Exception):
-    """No Seifert reference system found, or several with unequal twists."""
+    """The knot has no Seifert reference system."""
 
 
 # -- knots -----------------------------------------------------------------
@@ -148,16 +151,10 @@ class EndpointSolution:
 
 
 def _check_moving_choice(choice: PathSkeleton):
-    if choice.n_edges < 1:
-        raise ValueError(f"{choice} has no open final edge")
     if choice.final_left.is_infinite:
         raise ValueError(f"{choice} ends at <inf>: nothing to solve")
-    if choice.final_left.is_integer and choice.final_right.is_integer:
-        raise ValueError(f"{choice} has a vertical final edge")
-    if choice.final_left.den == choice.final_right.den:
-        raise ValueError(
-            f"{choice} has a final edge between two equal denominators: not a Farey edge"
-        )
+    if choice.final_left.den >= choice.final_right.den:
+        raise ValueError(f"{choice} has a final edge that does not run to a smaller denominator")
 
 
 def solve_endpoints(choices: Sequence[PathSkeleton]) -> EndpointSolution | None:
@@ -169,19 +166,19 @@ def solve_endpoints(choices: Sequence[PathSkeleton]) -> EndpointSolution | None:
     b_i = s_i * a_i - r_i = (s_i * p_i - r_i * q_i) / d_i to B, which is
     +-1/d_i on a Farey edge. Over D = prod d_i * prod q_j the sums are the
     integers An = A * D and Bn = B * D, negated together so that An > 0.
-    Then c = Bn / An, and t_i = (Bn - s_i * An) / (d_i * An) lies in
-    (0, 1] exactly when q_i * An <= Bn < s_i * An for d_i < 0 (that is,
-    q_i <= c < s_i) or s_i * An < Bn <= q_i * An for d_i > 0; a constant
-    tangle needs Bn >= q_j * An. Every test is an integer comparison, and
-    ``Frac``s are built only for an accepted solve.
+    Then c = Bn / An, and t_i = (Bn - s_i * An) / (d_i * An). Each choice
+    is in range when c lies in its ``_c_range``, whose ends are integers,
+    so only Bn // An is compared, and ``Frac``s are built only for an
+    accepted solve. A final edge needs q_i < s_i, or ValueError.
 
     Returns the unique solution when it exists and meets every range
     constraint, None when the equation is inconsistent or the solution
     falls outside the constraints. Raises DegenerateSystemError when every
     c solves it (A == 0 == B).
     """
-    moving = [ch for ch in choices if not ch.constant]
-    constants = [ch for ch in choices if ch.constant]
+    # read n_edges, not the ``constant`` property: this runs per combination
+    moving = [ch for ch in choices if ch.n_edges]
+    constants = [ch for ch in choices if not ch.n_edges]
     if not moving:
         raise ValueError("need at least one moving path")
     for ch in moving:
@@ -198,7 +195,7 @@ def solve_endpoints(choices: Sequence[PathSkeleton]) -> EndpointSolution | None:
         an = an * d + (p - r) * dd
         bn = bn * d + (s * p - r * q) * dd
         dd *= d
-        ends.append((q, s, d))
+        ends.append((s, d))
     for ch in constants:
         tangle = ch.tangle
         if tangle.is_infinite:
@@ -215,13 +212,12 @@ def solve_endpoints(choices: Sequence[PathSkeleton]) -> EndpointSolution | None:
         )
     if an < 0:
         an, bn = -an, -bn
-    for q, s, d in ends:
-        if not (q * an <= bn < s * an if d < 0 else s * an < bn <= q * an):
+    whole = bn // an  # lo <= c < hi exactly when lo <= whole < hi, for integer ends
+    for ch in choices:
+        lo, hi = _c_range(ch)
+        if not lo <= whole < hi:
             return None
-    for ch in constants:
-        if bn < ch.tangle.den * an:
-            return None
-    weights = tuple(Frac(bn - s * an, d * an) for _, s, d in ends)
+    weights = tuple(Frac(bn - s * an, d * an) for s, d in ends)
     return EndpointSolution(weights, Frac(bn, an))
 
 
@@ -303,17 +299,16 @@ def _extended_path(choice: PathSkeleton, displacement: int) -> Edgepath:
 
 
 def solver_choices(skeletons: Sequence[PathSkeleton]) -> list[PathSkeleton]:
-    """The skeletons an endpoint solve accepts: the constant marker and
-    every path whose open final edge stops short of <inf>."""
-    return [
-        sk for sk in skeletons if sk.constant or (sk.n_edges >= 1 and not sk.final_left.is_infinite)
-    ]
+    """The skeletons an endpoint solve accepts: every node short of <inf>,
+    the root being the constant choice."""
+    return [sk for sk in skeletons if not sk.final_left.is_infinite]
 
 
 def _c_range(choice: PathSkeleton) -> tuple[int, int | float]:
     """The half-open interval [lo, hi) of effective denominators c that
     keep the choice in range: [q, s) for a moving path, whose final edge
-    runs from r/s down to p/q, and [q_j, inf) for a constant path."""
+    runs from r/s down to p/q, and [q_j, inf) for a constant path. The
+    ends are only compared, never multiplied, so ``math.inf`` stays exact."""
     if choice.constant:
         return choice.tangle.den, math.inf
     return choice.final_left.den, choice.final_right.den
@@ -344,8 +339,8 @@ def enumerate_systems_with_diagnostics(
     degeneracy notes.
 
     Type I and II systems with isolated endpoints come from the exact
-    solve over the combinations of open-final-edge truncations and
-    constant markers whose c-ranges meet; the others have no endpoint in
+    solve over the combinations of open-final-edge truncations and roots
+    (constant choices) whose c-ranges meet; the others have no endpoint in
     range and are skipped unsolved, degenerate ones included. Type II
     systems needing vertical motion are built from combinations of paths
     stopped at their v-axis arrival vertices: the integer displacement
@@ -361,9 +356,7 @@ def enumerate_systems_with_diagnostics(
     per_tangle = [enumerate_skeletons(f) for f in knot.tangles]
     solvable = [solver_choices(sks) for sks in per_tangle]
     maximal = [[sk for sk in sks if sk.is_maximal] for sks in per_tangle]
-    arrivals = [
-        [sk for sk in sks if sk.n_edges >= 1 and sk.final_left.is_integer] for sks in per_tangle
-    ]
+    arrivals = [[sk for sk in sks if sk.final_left.is_integer] for sks in per_tangle]
 
     total = sum(math.prod(map(len, group)) for group in (solvable, maximal, arrivals))
     if total > cap:
@@ -522,34 +515,15 @@ def is_seifert_candidate(system: EdgepathSystem) -> bool:
     return odd % 2 == 0
 
 
-def _reference_paths(tangle: Frac) -> list[tuple[Edgepath, bool]]:
-    """Each single-class maximal path, walked, and whether its penultimate vertex is odd."""
-    return [
-        (sk.to_edgepath(), sk.final_right.num % 2 != 0)
-        for sk in single_class_maximal_skeletons(tangle)
-    ]
-
-
 def find_seifert_system(knot: MontesinosKnot) -> EdgepathSystem:
-    """The slope-zero reference system: the first type III system passing
-    both parity conditions. All passing systems must agree on the twist;
-    disagreement or absence is an error, never silently resolved.
-
-    Only the product of each tangle's walked single-class paths is taken,
-    counting odd penultimate vertices. "First" is the system order, for
-    type III systems the order of the rendered paths.
-    """
-    per_tangle = [_reference_paths(f) for f in knot.tangles]
-    candidates = [
-        EdgepathSystem(knot, tuple(path for path, _ in combo), Frac(-1))
-        for combo in product(*per_tangle)
-        if sum(odd for _, odd in combo) % 2 == 0
-    ]
-    if not candidates:
+    """The slope-zero reference system, the one type III system passing
+    both parity conditions, found by walking each tangle once; an all-odd
+    knot whose p_i sum to an odd number has none (SeifertReferenceError)."""
+    parity = sum(f.num for f in knot.tangles if f.den % 2) % 2
+    if parity and all(f.den % 2 for f in knot.tangles):
         raise SeifertReferenceError(f"no Seifert reference for {knot}")
-    twists = {system_twist(system) for system in candidates}
-    if len(twists) > 1:
-        raise SeifertReferenceError(
-            f"ambiguous reference for {knot}: twists {sorted(map(str, twists))}"
-        )
-    return min(candidates, key=EdgepathSystem.render_paths)
+    paths = tuple(
+        single_class_maximal_skeleton(f, f.num if f.den % 2 else parity).to_edgepath()
+        for f in knot.tangles
+    )
+    return EdgepathSystem(knot, paths, Frac(-1))

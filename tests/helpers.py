@@ -23,7 +23,7 @@ def fr(text: str) -> Frac:
 
 def skeleton(tangle: str, *vertices: str):
     """Fetch the enumerated skeleton with the given vertex sequence, or the
-    constant marker when no vertices are given."""
+    root, the constant choice, when no vertices are given."""
     t = fr(tangle)
     for sk in enumerate_skeletons(t):
         if not vertices and sk.constant:

@@ -93,7 +93,6 @@ def test_exhaustive_paths_for_one_half():
     got = {(s.constant, s.vertices) for s in exhaustive_paths(fr("1/2"), 2)}
     expect = {
         (True, (fr("1/2"),)),
-        (False, (fr("1/2"),)),
         (False, (fr("1/2"), fr("0"))),
         (False, (fr("1/2"), fr("0"), INF)),
         (False, (fr("1/2"), fr("1"))),
@@ -104,10 +103,7 @@ def test_exhaustive_paths_for_one_half():
 
 def test_exhaustive_paths_depth_zero():
     got = exhaustive_paths(fr("2/5"), 0)
-    assert [(s.constant, s.vertices) for s in got] == [
-        (True, (fr("2/5"),)),
-        (False, (fr("2/5"),)),
-    ]
+    assert [(s.constant, s.vertices) for s in got] == [(True, (fr("2/5"),))]
 
 
 @pytest.mark.parametrize("tangle", ["2/5", "-1/2", "3/7", "-5/8", "7/3", "1/11"])

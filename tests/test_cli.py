@@ -71,6 +71,31 @@ def test_cap_must_be_positive(capsys, argv, cap):
     assert f"argument --cap: {cap} is not a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, option, text",
+    [
+        (["--from", "1_1", "--cap", "1_000_000_0"], "--from", "1_1"),
+        (["--from", "11", "--cap", "1_000_000_0"], "--cap", "1_000_000_0"),
+        (["--from", "\u0661\u0661", "--to", "13"], "--from", "\u0661\u0661"),
+        (["--from", "11", "--to", "1_3"], "--to", "1_3"),
+        (["--from", " 11"], "--from", " 11"),
+        (["--from", "11", "--to", "0x0d"], "--to", "0x0d"),
+    ],
+)
+def test_integer_options_read_only_ascii_decimal_digits(capsys, argv, option, text):
+    # int() also reads digit separators, non-ASCII digits and whitespace
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-family"] + argv)
+    assert exc.value.code == 2
+    assert f"argument {option}: {text} is not an integer" in capsys.readouterr().err
+
+
+def test_integer_options_take_a_sign(capsys):
+    argv = ("verify-family", "--from", "+11", "--to", "+11", "--cap", "+100000")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.startswith("n=11 PASS")
+
+
 def test_enumerate_default_types_and_all_types(capsys):
     _, out, _ = run_cli(capsys, "enumerate", "--json", "-1/2,2/5,1/11")
     assert {r["type"] for r in json.loads(out)} == {"I", "III"}

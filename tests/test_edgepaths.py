@@ -63,12 +63,14 @@ def test_skeletons_of_one_over_n():
 
 def test_prefix_closure_and_dedupe():
     skels = enumerate_skeletons(fr("3/7"))
-    moving = [s.vertices for s in skels if not s.constant]
-    assert len(moving) == len(set(moving))
-    for verts in moving:
+    shapes = [s.vertices for s in skels]
+    assert len(shapes) == len(set(shapes))
+    for verts in shapes:
         for cut in range(1, len(verts) + 1):
-            assert verts[:cut] in moving
-    assert sum(1 for s in skels if s.constant) == 1
+            assert verts[:cut] in shapes
+    # the root is the one node with no edges, and the constant choice
+    assert [s.vertices for s in skels if s.n_edges == 0] == [(fr("3/7"),)]
+    assert [s for s in skels if s.constant] == [skels[0]]
 
 
 def test_constant_marker_first_and_deterministic_order():
@@ -103,17 +105,18 @@ def recursive_sorted_skeletons(tangle):
 
 @pytest.mark.parametrize("tangle", ["1/11", "2/5", "-5/13", "13/34"])
 def test_skeleton_order_matches_recursive_sorted_descent(tangle):
-    moving = [s.vertices for s in enumerate_skeletons(fr(tangle)) if not s.constant]
-    assert moving == recursive_sorted_skeletons(fr(tangle))
+    shapes = [s.vertices for s in enumerate_skeletons(fr(tangle))]
+    assert shapes == recursive_sorted_skeletons(fr(tangle))
 
 
 def test_deep_tangle_descends_without_recursion():
     n = 5001
     skels = enumerate_skeletons(Frac(1, n))
-    assert len(skels) == 5005
-    # pre-order in O(L): every node comes after its parent
+    assert len(skels) == 5004
+    # pre-order in O(L), root first: every node comes after its parent
+    assert skels[0].parent is None
     emitted = set()
-    for sk in skels[1:]:
+    for sk in skels:
         assert sk.parent is None or id(sk.parent) in emitted
         emitted.add(id(sk))
     # the chain through every 1/k is the last branch, so it comes last
@@ -181,7 +184,7 @@ def test_path_twist_is_sum_of_steps():
 def test_closed_form_twist_and_length_match_the_edge_sum(tangle, data):
     skeletons = enumerate_skeletons(tangle)
     # every node's stored sums against its vertex values alone
-    for sk in skeletons[2:]:  # past the constant marker and the root
+    for sk in skeletons[1:]:  # past the root
         verts = sk.vertices
         path = sk.to_edgepath()
         assert path.last_sign() == sign_by_definition(verts[-2], verts[-1])

@@ -1,7 +1,6 @@
 """The per-tangle Seifert search against the brute-force search it replaced."""
 
 import random
-import re
 import subprocess
 import sys
 from math import gcd
@@ -9,8 +8,7 @@ from math import gcd
 import pytest
 
 from montesinos import Frac, SeifertReferenceError, enumerate_skeletons, find_seifert_system
-from montesinos import systems as systems_module
-from montesinos.edgepaths import single_class_maximal_skeletons
+from montesinos.edgepaths import single_class_maximal_skeleton
 
 from helpers import child_env, family_spec, knot, seifert_search_oracle, single_class_by_vertices
 
@@ -47,9 +45,45 @@ ORACLE_SPECS = (
 )
 
 
+def wider_specs(seed: int, count: int) -> list[str]:
+    """3-5 tangle knots with q <= 13 and |p| < 3q; every fourth knot has
+    only odd denominators, the others exactly one even one."""
+    rng = random.Random(seed)
+    specs = []
+    for i in range(count):
+        dens = [rng.choice((3, 5, 7, 9, 11, 13)) for _ in range(rng.randint(3, 5))]
+        if i % 4:
+            dens[rng.randrange(len(dens))] = rng.choice((2, 4, 6, 8, 10, 12))
+        fracs = []
+        for q in dens:
+            p = rng.choice([p for p in range(1 - 3 * q, 3 * q) if gcd(p, q) == 1])
+            fracs.append(f"{p}/{q}")
+        specs.append(",".join(fracs))
+    return specs
+
+
 @pytest.mark.parametrize("spec", ORACLE_SPECS)
 def test_search_matches_brute_force(spec):
     assert search_outcome(find_seifert_system, spec) == search_outcome(seifert_search_oracle, spec)
+
+
+def test_search_matches_brute_force_on_wider_knots():
+    refused = 0
+    for spec in wider_specs(1989, 200):
+        outcome = search_outcome(find_seifert_system, spec)
+        assert outcome == search_outcome(seifert_search_oracle, spec), spec
+        refused += isinstance(outcome, str)
+    assert 0 < refused < 200
+
+
+def test_all_odd_knots_have_a_reference_exactly_when_the_numerators_sum_to_even():
+    grid = [f"{a}/3,{b}/5,{c}/7" for a in (-2, -1, 1, 2) for b in (-3, 1, 2) for c in (-1, 3, 4)]
+    all_odd = grid + [spec for i, spec in enumerate(wider_specs(1989, 200)) if i % 4 == 0]
+    for spec in all_odd:
+        odd_sum = sum(f.num for f in knot(spec).tangles) % 2
+        outcome = search_outcome(seifert_search_oracle, spec)
+        assert isinstance(outcome, str) == bool(odd_sum), spec
+        assert search_outcome(find_seifert_system, spec) == outcome, spec
 
 
 def test_oracle_sample_covers_refusals_and_references():
@@ -63,37 +97,26 @@ def test_pretzel_333_is_refused():
         find_seifert_system(knot("1/3,1/3,1/3"))
 
 
-def test_disagreeing_twists_are_refused(monkeypatch):
-    def every_maximal(tangle):
-        # drop the single-class condition: every maximal path is a candidate
-        return [
-            (sk.to_edgepath(), sk.vertices[-2].num % 2 != 0)
-            for sk in enumerate_skeletons(tangle)
-            if sk.is_maximal
-        ]
-
-    monkeypatch.setattr(systems_module, "_reference_paths", every_maximal)
-    message = "ambiguous reference for M(-1/2, 2/5, 1/11): twists ['-14', '-18', '-26', '0', '4']"
-    with pytest.raises(SeifertReferenceError, match=re.escape(message)):
-        find_seifert_system(knot(family_spec(11)))
-
-
 def check_walk_against_the_tree(tangle):
-    """The parity walk's paths equal the tree's maximal paths that pass
-    ``single_class_by_vertices`` (vertices, twists and lengths): one for an
-    odd denominator, two with opposite penultimate parities for an even one."""
+    """The tree's maximal paths that pass ``single_class_by_vertices`` end
+    on the parity of p for an odd denominator, one path, and on both
+    parities for an even one, one path each; the parity walk, asked for
+    each of those parities, finds exactly them (vertices, twists and
+    lengths)."""
     expected = [
         sk for sk in enumerate_skeletons(tangle) if sk.is_maximal and single_class_by_vertices(sk.vertices)
     ]
-    walked = sorted(single_class_maximal_skeletons(tangle), key=lambda sk: sk.vertices)
+    parities = [tangle.num % 2] if tangle.den % 2 else [0, 1]
+    assert sorted(sk.vertices[-2].num % 2 for sk in expected) == parities, str(tangle)
+    walked = [single_class_maximal_skeleton(tangle, parity) for parity in parities]
+    assert [sk.vertices[-2].num % 2 for sk in walked] == parities, str(tangle)
 
     def shape(sk):
         path = sk.to_edgepath()
         return sk.vertices, path.twist(), path.length()
 
+    walked.sort(key=lambda sk: sk.vertices)
     assert [shape(sk) for sk in walked] == [shape(sk) for sk in expected], str(tangle)
-    parities = sorted(sk.vertices[-2].num % 2 for sk in expected)
-    assert parities in ([[0], [1]] if tangle.den % 2 else [[0, 1]]), str(tangle)
 
 
 def test_single_class_maximal_skeletons_by_denominator_parity():
@@ -119,7 +142,11 @@ def test_parity_walk_on_seeded_fractions():
 def test_parity_walk_rejects_non_tangles():
     for value in (Frac(3), Frac(1, 0)):
         with pytest.raises(ValueError, match="not a rational tangle"):
-            single_class_maximal_skeletons(value)
+            single_class_maximal_skeleton(value, 0)
+    # an odd q's single-class path ends on the parity of p, never the other
+    for value, parity in ((Frac(1, 3), 0), (Frac(2, 5), 1), (Frac(-3, 7), 0)):
+        with pytest.raises(ValueError, match=f"of {value} ends on an integer of parity {1 - parity}"):
+            single_class_maximal_skeleton(value, parity)
 
 
 # Runs the Seifert search under a 1 GB address-space limit, set in the child.

@@ -151,12 +151,12 @@ def random_hand_built_choices(rng):
     """Three hand-built choices from ``PathSkeleton.from_vertices``: final
     edges that need not be Farey edges, with q_i > s_i as well as
     q_i < s_i (never equal, vertical or toward <inf>), and now and then a
-    constant marker."""
+    root, the constant choice."""
     choices = []
     for _ in range(3):
         tangle = Frac(rng.randint(-9, 9), rng.randint(2, 9))
         if rng.random() < 0.25:
-            choices.append(PathSkeleton(tangle, constant=True))
+            choices.append(PathSkeleton(tangle))
             continue
         verts = [tangle]
         for _ in range(rng.randint(1, 2)):
@@ -169,21 +169,42 @@ def random_hand_built_choices(rng):
     return choices
 
 
+# the solver's one refusal for a final edge with q_i >= s_i
+NOT_DESCENDING = "has a final edge that does not run to a smaller denominator"
+
+
 def test_integer_kernel_matches_the_frac_closed_form_on_hand_built_chains():
     rng = random.Random(20261018)
-    accepted_rising = rejected = 0
+    rising = 0
+    kinds = set()
     for _ in range(3000):
         choices = random_hand_built_choices(rng)
         if all(ch.constant for ch in choices):
             continue
+        if any(not ch.constant and ch.final_left.den > ch.final_right.den for ch in choices):
+            # a final edge to a larger denominator is refused, never solved
+            with pytest.raises(ValueError, match=NOT_DESCENDING):
+                solve_endpoints(choices)
+            rising += 1
+            continue
         expected = solve_outcome(solve_endpoints_by_fracs, choices)
         assert solve_outcome(solve_endpoints, choices) == expected, [str(ch) for ch in choices]
-        if expected is None:
-            rejected += 1
-        elif any(not ch.constant and ch.final_left.den > ch.final_right.den for ch in choices):
-            accepted_rising += 1
-    # the sample accepts solves through final edges with q_i > s_i
-    assert accepted_rising and rejected
+        kinds.add("rejected" if expected is None else "accepted")
+    assert rising and kinds == {"accepted", "rejected"}
+
+
+@pytest.mark.parametrize(
+    "tangle, vertices",
+    [
+        ("1/3", ["1/3", "1/2", "2/5"]),  # rising: <1/2> - <2/5>, q > s
+        ("1/2", ["1/2", "1", "2"]),  # vertical: <1> - <2>, q = s = 1
+    ],
+)
+def test_final_edges_not_running_to_a_smaller_denominator_are_refused(tangle, vertices):
+    # equal denominators: test_final_edge_between_equal_denominators_is_refused
+    chain = PathSkeleton.from_vertices(fr(tangle), map(fr, vertices))
+    with pytest.raises(ValueError, match=NOT_DESCENDING):
+        solve_endpoints([chain, skeleton("1/2", "1/2", "0"), skeleton("1/5")])
 
 
 def test_final_edge_between_equal_denominators_is_refused():
@@ -192,12 +213,12 @@ def test_final_edge_between_equal_denominators_is_refused():
     choices = [equal, skeleton("1/2", "1/2", "0"), skeleton("1/5")]
     with pytest.raises(ValueError):
         solve_endpoints_by_fracs(choices)
-    with pytest.raises(ValueError, match="equal denominators"):
+    with pytest.raises(ValueError, match=NOT_DESCENDING):
         solve_endpoints(choices)
 
 
 def test_constant_marker_at_infinity_is_refused():
-    choices = [skeleton("1/2", "1/2", "0"), PathSkeleton(INF, constant=True), skeleton("1/5")]
+    choices = [skeleton("1/2", "1/2", "0"), PathSkeleton(INF), skeleton("1/5")]
     with pytest.raises(ValueError):
         solve_endpoints_by_fracs(choices)
     with pytest.raises(ValueError, match="infinite"):
