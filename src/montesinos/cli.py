@@ -24,13 +24,13 @@ import json
 import os
 import sys
 from itertools import groupby, product
+from math import lcm
 
 from .bruteforce import brute_force_endpoints, normalize_weight_vector
 from .edgepaths import enumerate_skeletons
 from .family import verify_family_row
 from .rationals import decimal_str, parse_int
 from .systems import (
-    ALL_TYPES,
     DEFAULT_COMBINATION_CAP,
     CapExceededError,
     DegenerateSystemError,
@@ -51,12 +51,10 @@ EXIT_INTERNAL = 4
 EXIT_NO_REFERENCE = 5
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
-DEFAULT_TYPES = ("I", "III")
 
-
-def _knot_reports(spec: str, include_types, cap: int, dedupe: bool):
+def _knot_reports(spec: str, type_ii: bool, cap: int, dedupe: bool):
     knot = MontesinosKnot.parse(spec)
-    reports, _, diagnostics = analyze(knot, include_types, cap)
+    reports, _, diagnostics = analyze(knot, type_ii, cap)
     if dedupe:
         # reports are sorted by slope: keep the first of each run
         reports = [next(run) for _, run in groupby(reports, key=lambda r: r.slope)]
@@ -121,7 +119,9 @@ def _cross_check(knot: MontesinosKnot, m_max: int = 64) -> int:
                 mismatched += 1
         else:
             expected = (solution.weights, solution.c)
-            hit = max(t.den for t in solution.weights) <= m_max
+            # the scan's common totals reach t_i = k_i / m only for m a
+            # multiple of every denominator
+            hit = lcm(*(t.den for t in solution.weights)) <= m_max
             if normalized - {expected} or (hit and expected not in normalized):
                 mismatched += 1
     print(f"cross-check: {checked} combinations, {mismatched} mismatches", file=sys.stderr)
@@ -129,8 +129,7 @@ def _cross_check(knot: MontesinosKnot, m_max: int = 64) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    include = ALL_TYPES if args.all_types else DEFAULT_TYPES
-    knot, reports = _knot_reports(args.knot, include, args.cap, args.dedupe)
+    knot, reports = _knot_reports(args.knot, args.all_types, args.cap, args.dedupe)
     if args.cross_check and _cross_check(knot):
         return EXIT_VERIFY_FAILED
     _emit_reports(reports, args.format)
@@ -160,8 +159,7 @@ def cmd_verify_family(args) -> int:
 
 
 def cmd_pair_gap(args) -> int:
-    include = ALL_TYPES if args.all_types else DEFAULT_TYPES
-    knot, reports = _knot_reports(args.knot, include, args.cap, dedupe=False)
+    knot, reports = _knot_reports(args.knot, args.all_types, args.cap, dedupe=False)
     slopes = sorted({r.slope for r in reports})
     if len(slopes) < 2:
         if args.format == "json":

@@ -15,8 +15,9 @@ and the vertex sequence is read back by walking the parent pointers. The
 skeleton descent yields only leftward Farey neighbours;
 ``path_from_vertices`` checks every pair from elsewhere with
 ``farey.diagram_edge``, which rejects any other. An ``Edgepath`` is a node
-plus where the path stops on the node's last edge, or, for a constant
-path, the root (the shape of no edges) plus its weight on the vertex.
+plus where the path stops on the node's last edge. The root's last edge
+is the horizontal edge from <p/q>o to <p/q>, so a constant path is the
+root plus its weight on the vertex.
 
 A path is type I, II or III according to the sign of its final
 u-coordinate (positive, zero, negative). Each non-boundary edge strictly
@@ -154,40 +155,32 @@ class PathSkeleton:
 @dataclass(frozen=True, slots=True)
 class Edgepath:
     """One tangle's edgepath: a skeleton node, whose vertices run right to
-    left from the tangle vertex, and where the path stops on its last
-    edge. A path that stops part-way along its last edge stores the
-    stopping weight in ``final_weight``, strictly between 0 and 1; a path
-    ending at a vertex stores None (``PathSkeleton.to_edgepath`` normalizes
-    a solved weight of 1 to a fully traversed final edge). Constant paths
-    hold a node with no edges and store only ``constant_weight``, in
-    [0, 1], the weight on the tangle vertex of their point on its
-    horizontal edge. ``render`` computes the path's string once and keeps
-    it in a slot that takes no part in equality, hashing or ``repr``.
+    left from the tangle vertex, and ``final_weight``, the weight of the
+    stopping point on the left vertex of the node's last edge. A moving
+    path that stops part-way stores a weight strictly between 0 and 1, and
+    one ending at a vertex stores None (``PathSkeleton.to_edgepath``
+    normalizes a solved weight of 1 to a fully traversed final edge). The
+    root's last edge is the horizontal edge from <p/q>o to <p/q>, so a
+    constant path is the root plus a weight in [0, 1] on <p/q>. ``render``
+    computes the path's string once and keeps it in a slot that takes no
+    part in equality, hashing or ``repr``.
     """
 
     skeleton: PathSkeleton
     final_weight: Frac | None = None
-    constant_weight: Frac | None = None
     _rendered: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        tangle = self.skeleton.tangle
-        if tangle.is_infinite or tangle.is_integer:
-            raise ValueError(f"tangle {tangle} is not a rational tangle")
-        n_edges = self.skeleton.n_edges
-        if self.constant_weight is not None:
-            if n_edges or self.final_weight is not None:
-                raise ValueError("constant path cannot have steps")
-            if not 0 <= self.constant_weight <= 1:  # <inf> compares above 1
-                raise ValueError(f"weight {self.constant_weight} outside [0, 1]")
-            return
-        if not n_edges:
-            raise ValueError("empty path: use a constant path instead")
-        if self.final_weight is not None:
-            t = self.final_weight
+        sk, t = self.skeleton, self.final_weight
+        if sk.tangle.is_infinite or sk.tangle.is_integer:
+            raise ValueError(f"tangle {sk.tangle} is not a rational tangle")
+        if not sk.n_edges:
+            if t is None or not 0 <= t <= 1:  # <inf> compares above 1
+                raise ValueError(f"constant weight {t} outside [0, 1]")
+        elif t is not None:
             if not (0 < t < 1):
                 raise ValueError(f"final weight {t} outside (0, 1)")
-            if self.skeleton.is_maximal:
+            if sk.is_maximal:
                 raise ValueError("cannot stop part-way toward <inf>")
 
     @property
@@ -200,11 +193,11 @@ class Edgepath:
 
     @property
     def is_constant(self) -> bool:
-        return self.constant_weight is not None
+        return self.skeleton.n_edges == 0
 
     def endpoint_uv(self) -> tuple[Frac, Frac]:
         if self.is_constant:
-            return horizontal_uv(self.tangle, self.constant_weight)
+            return horizontal_uv(self.tangle, self.final_weight)
         sk = self.skeleton
         return diagram_uv(sk.final_left, sk.final_right, self.final_weight)
 
@@ -217,7 +210,7 @@ class Edgepath:
         read from the node's running sums. Constant paths have twist 0."""
         sk = self.skeleton
         t = self.final_weight
-        if t is None:
+        if t is None or not sk.n_edges:  # a root's sign sum is 0
             return Frac(-2 * sk.sign_sum)
         # the parent's sum covers the full edges: -2 * (full + last * t) as one Frac
         full = sk.parent.sign_sum
@@ -227,7 +220,7 @@ class Edgepath:
         """Total traversed length (full edges count 1, the partial final
         edge its weight). Constant paths have length 0."""
         edges = self.skeleton.n_edges
-        if self.final_weight is None:
+        if self.final_weight is None or not edges:
             return Frac(edges)
         return self.final_weight + (edges - 1)
 
@@ -245,7 +238,7 @@ class Edgepath:
         if self._rendered is not None:
             return self._rendered
         if self.is_constant:
-            t = self.constant_weight
+            t = self.final_weight
             f = self.tangle
             text = f"({t})<{f}> + ({Frac(1) - t})<{f}>o"
         else:
@@ -272,7 +265,7 @@ def path_from_vertices(tangle: Frac, vertices, final_weight: Frac | None = None)
 
 
 def constant_path(tangle: Frac, weight_on_vertex: Frac) -> Edgepath:
-    return Edgepath(PathSkeleton(tangle), constant_weight=weight_on_vertex)
+    return Edgepath(PathSkeleton(tangle), weight_on_vertex)
 
 
 # -- skeleton enumeration ----------------------------------------------------

@@ -24,7 +24,7 @@ def verify_family_row(n: int, cap: int = DEFAULT_COMBINATION_CAP) -> dict:
     # every check reads type I reports or the type III reference; a type II
     # report has no Euler characteristic, no proven essentiality and no
     # Seifert flag, so it can neither pass nor fail one
-    reports, ref_twist, _ = analyze(family_knot(n), ("I", "III"), cap)
+    reports, ref_twist, _ = analyze(family_knot(n), type_ii=False, cap=cap)
     slope_small, slope_big = expected_family_slopes(n)
     failures = []
 

@@ -22,19 +22,18 @@ conditions applies to a type I system: all final edges share one sign, or
 at least one path is constant. Everything else is "undetermined"; the
 package never claims a surface is inessential.
 
-``analyze`` is the whole pipeline for one knot, and it builds systems and
-reports only of the types its caller asks for.
+``analyze`` is the whole pipeline for one knot; it builds type II systems
+and reports only when its caller asks for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .rationals import Frac
 from .systems import (
-    ALL_TYPES,
     DEFAULT_COMBINATION_CAP,
     EdgepathSystem,
     MontesinosKnot,
@@ -53,14 +52,13 @@ class IntegrityError(Exception):
 def number_of_sheets(system: EdgepathSystem) -> int:
     factors = [1]
     for path in system.paths:
+        t = path.final_weight
         if path.is_constant:
-            t = path.constant_weight
             if t <= 0 or t > 1:
                 raise IntegrityError(f"constant weight {t} outside (0, 1]")
             factors.append(t.num)
-        else:
-            length = path.final_weight if path.final_weight is not None else Frac(1)
-            factors.append(length.den)
+        elif t is not None:
+            factors.append(t.den)
     return lcm(*factors)
 
 
@@ -73,12 +71,13 @@ def boundary_component_count(sheets: int, slope: Frac) -> int:
     return components
 
 
-def euler_ratio(lengths, n_const: int, n_total: int, const_denoms, u0: Frac) -> Frac:
-    """-chi/sheets from the raw ingredients; exposed for direct checks."""
+def euler_ratio(lengths, n_total: int, const_denoms, u0: Frac) -> Frac:
+    """-chi/sheets from the raw ingredients; exposed for direct checks.
+    There is one constant path per entry of ``const_denoms``."""
     total = Frac(0)
     for x in lengths:
         total = total + x
-    total = total + Frac(n_const - n_total)
+    total = total + Frac(len(const_denoms) - n_total)
     coeff = Frac(n_total - 2)
     for q in const_denoms:
         coeff = coeff - Frac(1, q)
@@ -90,9 +89,7 @@ def euler_characteristic_type_I(system: EdgepathSystem, sheets: int) -> int:
         raise ValueError("the Euler characteristic formula covers type I only")
     lengths = [p.length() for p in system.paths if not p.is_constant]
     const_denoms = [p.tangle.den for p in system.paths if p.is_constant]
-    ratio = euler_ratio(
-        lengths, len(const_denoms), len(system.paths), const_denoms, system.common_u
-    )
+    ratio = euler_ratio(lengths, len(system.paths), const_denoms, system.common_u)
     chi = -(ratio * sheets)
     if chi.den != 1:
         raise IntegrityError(f"non-integral Euler characteristic {chi}")
@@ -216,14 +213,12 @@ class Analysis(NamedTuple):
 
 
 def analyze(
-    knot: MontesinosKnot,
-    types: Sequence[str] = ALL_TYPES,
-    cap: int = DEFAULT_COMBINATION_CAP,
+    knot: MontesinosKnot, type_ii: bool = True, cap: int = DEFAULT_COMBINATION_CAP
 ) -> Analysis:
     """The whole computation for one knot: the reports of every candidate
-    system of the requested types (the cap is checked first, over all
-    three), the Seifert reference twist they are measured against, and the
-    enumeration's degeneracy notes."""
-    systems, diagnostics = enumerate_systems_with_diagnostics(knot, cap, types)
+    system, of type II only when ``type_ii`` is set (the cap is checked
+    first, over all three types), the Seifert reference twist they are
+    measured against, and the enumeration's degeneracy notes."""
+    systems, diagnostics = enumerate_systems_with_diagnostics(knot, cap, type_ii)
     reference_twist = system_twist(find_seifert_system(knot))
     return Analysis(build_reports(systems, reference_twist), reference_twist, diagnostics)

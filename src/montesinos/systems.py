@@ -42,7 +42,8 @@ Systems come in three kinds by the common final u-coordinate: type I
 (u > 0, solved endpoints in the open region), type II (u = 0, endpoints
 on the v-axis, possibly after motion along vertical edges, which changes
 no twist), and type III (every path runs to <inf>, where E3 holds
-trivially). The enumeration builds only the types it is asked for.
+trivially). The enumeration always builds types I and III, and type II
+when ``type_ii`` is set.
 
 Slopes are twists measured against a Seifert surface, which has slope
 zero. Following Hatcher and Oertel's Seifert-surface criterion (Topology
@@ -70,18 +71,11 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .edgepaths import (
-    Edgepath,
-    PathSkeleton,
-    constant_path,
-    enumerate_skeletons,
-    single_class_maximal_skeleton,
-)
-from .farey import diagram_edge, diagram_uv, is_farey_edge
+from .edgepaths import Edgepath, PathSkeleton, enumerate_skeletons, single_class_maximal_skeleton
+from .farey import diagram_edge, is_farey_edge
 from .rationals import Frac
 
 DEFAULT_COMBINATION_CAP = 10**7
-ALL_TYPES = ("I", "II", "III")
 
 
 class DegenerateSystemError(Exception):
@@ -265,11 +259,11 @@ def _build_solved_system(
 ) -> EdgepathSystem:
     paths = []
     it = iter(solution.weights)
+    c = solution.c
     for ch in combo:
         if ch.constant:
             # the weight q_j / c on the vertex puts the point at u = 1 - 1/c
-            c = solution.c
-            paths.append(constant_path(ch.tangle, Frac(ch.tangle.den * c.den, c.num)))
+            paths.append(Edgepath(ch, Frac(ch.tangle.den * c.den, c.num)))
         else:
             paths.append(ch.to_edgepath(next(it)))
     return EdgepathSystem(knot, tuple(paths), solution.u0)
@@ -333,10 +327,10 @@ def _meeting_combinations(per_tangle: Sequence[Sequence[PathSkeleton]]):
 
 
 def enumerate_systems_with_diagnostics(
-    knot: MontesinosKnot, cap: int = DEFAULT_COMBINATION_CAP, types: Sequence[str] = ALL_TYPES
+    knot: MontesinosKnot, cap: int = DEFAULT_COMBINATION_CAP, type_ii: bool = True
 ) -> tuple[list[EdgepathSystem], list[str]]:
-    """The knot's candidate systems of the requested types, plus
-    degeneracy notes.
+    """The knot's candidate systems, type II ones only when ``type_ii`` is
+    set, plus degeneracy notes.
 
     Type I and II systems with isolated endpoints come from the exact
     solve over the combinations of open-final-edge truncations and roots
@@ -350,8 +344,8 @@ def enumerate_systems_with_diagnostics(
     all combinations of maximal skeletons. Each arrival and maximal path
     is built once and shared by every combination it appears in.
 
-    ``types`` decides only what is built: the cap counts all three
-    products and every meeting combination is solved, whatever it holds.
+    ``type_ii`` moves no count: the cap counts all three products and
+    every meeting combination is solved either way.
     """
     per_tangle = [enumerate_skeletons(f) for f in knot.tangles]
     solvable = [solver_choices(sks) for sks in per_tangle]
@@ -378,10 +372,10 @@ def enumerate_systems_with_diagnostics(
             diagnostics.append(str(exc))
             continue
         # an accepted c is at least 1, and u = 1 - 1/c is 0 exactly at c = 1
-        if solution is not None and ("II" if solution.c == 1 else "I") in types:
+        if solution is not None and (type_ii or solution.c != 1):
             systems.append(_build_solved_system(knot, combo, solution))
 
-    if "II" in types:
+    if type_ii:
         built_arrivals = [[(ch, ch.to_edgepath()) for ch in options] for options in arrivals]
         for combo in product(*built_arrivals):
             shift = -sum(ch.final_left.num for ch, _ in combo)
@@ -398,10 +392,9 @@ def enumerate_systems_with_diagnostics(
             paths[absorber] = _extended_path(combo[absorber][0], shift)
             systems.append(EdgepathSystem(knot, tuple(paths), Frac(0)))
 
-    if "III" in types:
-        built_maximal = [[ch.to_edgepath() for ch in options] for options in maximal]
-        for paths in product(*built_maximal):
-            systems.append(EdgepathSystem(knot, paths, Frac(-1)))
+    built_maximal = [[ch.to_edgepath() for ch in options] for options in maximal]
+    for paths in product(*built_maximal):
+        systems.append(EdgepathSystem(knot, paths, Frac(-1)))
 
     systems.sort(key=lambda s: s._sort_key())
     return systems, diagnostics
@@ -430,9 +423,14 @@ def validate_system(system: EdgepathSystem) -> Violation | None:
     """Check E1 through E4 from the stored paths alone, independently of
     how the system was produced: it calls no solver and reads no stored
     sign sum. Returns the first violation, or None. Every check is an
-    integer test on vertex values or a ``farey`` coordinate formula. Each
-    vertex pair is checked first with ``diagram_edge``; a pair that is not
-    a leftward Farey edge is an E2 violation."""
+    integer test on vertex values or a ``farey`` coordinate formula.
+
+    Each vertex pair is checked first with ``diagram_edge``; a pair that
+    is not a leftward Farey edge is an E2 violation. That test is where E4
+    is checked: u = 1 - 1/q grows with q, so u never increases along a
+    path whose denominators never rise, and the stopping point of a
+    partial final edge, whose effective denominator lies between its two
+    ends', has a u between theirs."""
     vertex_lists = [path.vertices for path in system.paths]
     for i, verts in enumerate(vertex_lists):
         try:
@@ -445,7 +443,7 @@ def validate_system(system: EdgepathSystem) -> Violation | None:
         if path.tangle != system.knot.tangles[i]:
             return Violation("E1", i, f"path serves {path.tangle}, tangle is {system.knot.tangles[i]}")
         if path.is_constant:
-            if not 0 <= path.constant_weight <= 1:
+            if not 0 <= path.final_weight <= 1:
                 return Violation("E1", i, "constant weight outside [0, 1]")
         elif vertex_lists[i][0] != path.tangle:
             return Violation("E1", i, "moving path does not start at the tangle vertex")
@@ -470,17 +468,6 @@ def validate_system(system: EdgepathSystem) -> Violation | None:
         v_sum = v_sum + v
     if v_sum != 0:
         return Violation("E3", 0, f"v-coordinates sum to {v_sum}")
-    # E4: u never increases along the traversal
-    for i, path in enumerate(system.paths):
-        if path.is_constant:
-            continue
-        us_along = [diagram_uv(v)[0] for v in vertex_lists[i]]
-        if path.final_weight is not None:
-            # the far vertex of a partial final edge is never reached
-            us_along[-1] = path.u0
-        for a, b in zip(us_along, us_along[1:]):
-            if b > a:
-                return Violation("E4", i, "u-coordinate increases leftward")
     return None
 
 

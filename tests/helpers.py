@@ -54,7 +54,7 @@ def seifert_search_oracle(k: MontesinosKnot) -> EdgepathSystem:
     the passing systems sorted by ``_sort_key``, with the same refusals as
     ``find_seifert_system``."""
     maximal = [
-        [sk for sk in enumerate_skeletons(f) if not sk.constant and sk.is_maximal]
+        [sk for sk in enumerate_skeletons(f) if sk.is_maximal]
         for f in k.tangles
     ]
     candidates = []

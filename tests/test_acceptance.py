@@ -9,6 +9,7 @@ import functools
 import random
 import time
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -199,7 +200,7 @@ def _solver_choice_lists(k):
         [
             sk
             for sk in enumerate_skeletons(f)
-            if sk.constant or (sk.n_edges >= 1 and not sk.final_left.is_infinite)
+            if not sk.final_left.is_infinite
         ]
         for f in k.tangles
     ]
@@ -226,7 +227,7 @@ def test_criterion_6_oracle_equivalence():
             else:
                 expected = (solution.weights, solution.c)
                 assert normalized <= {expected}, f"n={n}: oracle disagrees"
-                if max(t.den for t in solution.weights) <= m_max:
+                if lcm(*(t.den for t in solution.weights)) <= m_max:
                     assert expected in normalized, f"n={n}: solver endpoint not scanned"
                     checked += 1
         assert combos > 200 and checked > 5
@@ -240,7 +241,7 @@ def test_criterion_6_oracle_equivalence():
             generated = {
                 (s.constant, s.vertices)
                 for s in enumerate_skeletons(f)
-                if s.constant or s.n_edges <= 12
+                if s.n_edges <= 12
             }
             searched = {(s.constant, s.vertices) for s in exhaustive_paths(f, 12)}
             assert generated == searched, f"path sets differ for {f}"

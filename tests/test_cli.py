@@ -8,7 +8,8 @@ from collections import Counter
 import pytest
 
 import montesinos.systems as systems_module
-from montesinos.cli import main
+from montesinos import MontesinosKnot
+from montesinos.cli import _cross_check, main
 
 from helpers import child_env
 
@@ -340,6 +341,14 @@ def test_cross_check_flag(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--cross-check", "-1/2,2/5,1/11")
     assert code == 0
     assert "0 mismatches" in err
+
+
+@pytest.mark.parametrize("m_max", [3, 4, 5])
+def test_cross_check_expects_only_weights_the_scan_reaches(capsys, m_max):
+    # one solve has weights with denominators 1, 2 and 3: each is at most
+    # m_max, but the scan's common totals reach them only from m = lcm = 6
+    assert _cross_check(MontesinosKnot.parse("1/6,-10/9,-7/9,23/13"), m_max) == 0
+    assert capsys.readouterr().err.endswith(", 0 mismatches\n")
 
 
 def test_console_script_entry_point():

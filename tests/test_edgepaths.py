@@ -42,7 +42,7 @@ def check_minimal_monotone(vertices):
 
 
 def test_skeletons_of_one_third():
-    maximal = [s.vertices for s in enumerate_skeletons(fr("1/3")) if not s.constant and s.is_maximal]
+    maximal = [s.vertices for s in enumerate_skeletons(fr("1/3")) if s.is_maximal]
     assert (fr("1/3"), fr("1/2"), fr("1"), INF) in maximal
     assert (fr("1/3"), fr("0"), INF) in maximal
     assert len(maximal) == 2
@@ -192,7 +192,7 @@ def test_closed_form_twist_and_length_match_the_edge_sum(tangle, data):
         if sk.is_maximal:
             assert penultimate_vertex(path).num % 2 == verts[-2].num % 2
             assert sk.final_right.num % 2 == verts[-2].num % 2
-    moving = [sk for sk in skeletons if not sk.constant and sk.n_edges >= 1]
+    moving = [sk for sk in skeletons if sk.n_edges >= 1]
     sk = data.draw(st.sampled_from(moving))
     if sk.is_maximal:
         weight = Frac(1)  # a path cannot stop part-way toward <inf>
@@ -209,12 +209,12 @@ def test_twist_negation_symmetry(tangle):
     twists = sorted(
         s.to_edgepath(Frac(1, 3)).twist()
         for s in enumerate_skeletons(tangle)
-        if not s.constant and 1 <= s.n_edges and not s.final_left.is_infinite
+        if 1 <= s.n_edges and not s.final_left.is_infinite
     )
     mirrored_twists = sorted(
         -s.to_edgepath(Frac(1, 3)).twist()
         for s in enumerate_skeletons(mirrored)
-        if not s.constant and 1 <= s.n_edges and not s.final_left.is_infinite
+        if 1 <= s.n_edges and not s.final_left.is_infinite
     )
     assert twists == mirrored_twists
 
@@ -236,7 +236,8 @@ def test_constant_path_is_type_one():
     assert path.endpoint_uv() == (fr("5/7"), fr("-1/2"))
 
 
-@pytest.mark.parametrize("weight", [Frac(3, 2), Frac(-1, 7), INF])
+# None is Edgepath(PathSkeleton(tangle)) with no weight: a root needs one
+@pytest.mark.parametrize("weight", [Frac(3, 2), Frac(-1, 7), INF, None])
 def test_constant_weight_outside_the_horizontal_edge_is_refused(weight):
     with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
         constant_path(fr("-1/2"), weight)

@@ -118,4 +118,4 @@ def test_requested_types_are_the_full_analysis_filtered(k):
     if expected != "refused":
         reports, reference_twist, diagnostics = expected
         expected = [r for r in reports if r["type"] != "II"], reference_twist, diagnostics
-    assert _analysis(k, types=("I", "III")) == expected
+    assert _analysis(k, type_ii=False) == expected

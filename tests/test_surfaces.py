@@ -113,14 +113,14 @@ def test_euler_formula_inputs_for_both_surfaces(k11):
     gamma = _by_paths(systems, "(1/11)<-1>")
     lengths = sorted(p.length() for p in gamma.paths)
     assert lengths == [fr("1/11"), fr("10/11"), fr("12/11")]
-    ratio = euler_ratio(lengths, 0, 3, [], gamma.common_u)
+    ratio = euler_ratio(lengths, 3, [], gamma.common_u)
     assert ratio == 1
 
 
 def test_euler_ratio_degenerate_two_path_form():
     # with u = 0 and no constant paths the formula collapses to sum - 2
     lengths = [fr("3/2"), fr("7/3")]
-    assert euler_ratio(lengths, 0, 2, [], Frac(0)) == fr("3/2") + fr("7/3") - 2
+    assert euler_ratio(lengths, 2, [], Frac(0)) == fr("3/2") + fr("7/3") - 2
 
 
 def test_euler_only_for_type_one(k11):

@@ -10,6 +10,7 @@ from montesinos import (
     EdgepathSystem,
     Frac,
     PathSkeleton,
+    constant_path,
     enumerate_systems,
     enumerate_systems_with_diagnostics,
     find_seifert_system,
@@ -80,6 +81,17 @@ def test_solved_endpoints_with_constant_path():
     assert solution.weights == (fr("1/2"), fr("3/4"))
     assert solution.c == fr("7/2")
     assert solution.u0 == fr("5/7")
+
+
+def test_enumerated_constant_paths_are_roots_with_one_weight():
+    constants = [
+        p for s in enumerate_systems(knot("-1/2,2/5,1/11")) for p in s.paths if p.is_constant
+    ]
+    assert constants
+    for path in constants:
+        assert path.skeleton.n_edges == 0 and path.skeleton.parent is None
+        assert path == constant_path(path.tangle, path.final_weight)
+    assert "(4/7)<-1/2> + (3/7)<-1/2>o" in {p.render() for p in constants}
 
 
 def test_infeasible_choice_returns_none():
