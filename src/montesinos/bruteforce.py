@@ -7,16 +7,21 @@ over neighbours computed by denominator scan, filtered afterwards by a
 from-scratch minimality check. Agreement between the two routes is
 evidence, not tautology. These searches may be exponential; they exist for
 verification, not speed.
+
+``cross_check`` is the one solver-oracle comparison, which the CLI's
+``--cross-check`` and the tests call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import lcm
 from typing import Sequence
 
-from .edgepaths import PathSkeleton
+from .edgepaths import PathSkeleton, enumerate_skeletons
 from .rationals import INF, Frac
+from .systems import DegenerateSystemError, MontesinosKnot, solve_endpoints, solver_choices
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,32 @@ def normalize_weight_vector(
     ch0, k0 = moving[0], vector.k[0]
     d = k0 * ch0.final_left.den + (vector.m - k0) * ch0.final_right.den
     return ts, Frac(d, vector.m)
+
+
+def cross_check(knot: MontesinosKnot, m_max: int) -> tuple[int, int, list]:
+    """Diff ``solve_endpoints`` against the weight scan on every combination
+    of the knot's solver choices that has a moving path, degenerate ones
+    aside. Returns the number of combinations checked, the number of
+    solutions the scan reaches and the mismatched combinations. The scan
+    reaches t_i = k_i / m only for m a multiple of every denominator, so a
+    solution must be found only when their lcm is at most ``m_max``."""
+    per_tangle = [solver_choices(enumerate_skeletons(f)) for f in knot.tangles]
+    checked = reached = 0
+    mismatched = []
+    for combo in product(*per_tangle):
+        if all(ch.constant for ch in combo):
+            continue
+        try:
+            solution = solve_endpoints(combo)
+        except DegenerateSystemError:
+            continue
+        checked += 1
+        found = {normalize_weight_vector(v, combo) for v in brute_force_endpoints(combo, m_max)}
+        hit = solution is not None and lcm(*(t.den for t in solution.weights)) <= m_max
+        reached += hit
+        if found - {solution} or (hit and solution not in found):
+            mismatched.append(combo)
+    return checked, reached, mismatched
 
 
 # -- path search -----------------------------------------------------------

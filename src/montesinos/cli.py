@@ -23,11 +23,9 @@ import csv
 import json
 import os
 import sys
-from itertools import groupby, product
-from math import lcm
+from itertools import groupby
 
-from .bruteforce import brute_force_endpoints, normalize_weight_vector
-from .edgepaths import enumerate_skeletons
+from .bruteforce import cross_check
 from .family import verify_family_row
 from .rationals import decimal_str, parse_int
 from .systems import (
@@ -37,8 +35,7 @@ from .systems import (
     MontesinosKnot,
     SeifertReferenceError,
     find_seifert_system,
-    solve_endpoints,
-    solver_choices,
+    solve_endpoints,  # noqa: F401  perfbench's tracer test reads cli.solve_endpoints
     system_twist,
 )
 from .surfaces import CSV_COLUMNS, IntegrityError, analyze
@@ -99,39 +96,13 @@ def _emit_reports(reports, fmt: str):
             print(f"note: slope {r.slope}: {note}")
 
 
-def _cross_check(knot: MontesinosKnot, m_max: int = 64) -> int:
-    """Diff the exact solver against the integer-weight scan; the number
-    of mismatching combinations is returned."""
-    per_tangle = [solver_choices(enumerate_skeletons(f)) for f in knot.tangles]
-    checked = mismatched = 0
-    for combo in product(*per_tangle):
-        if all(ch.constant for ch in combo):
-            continue
-        try:
-            solution = solve_endpoints(combo)
-        except DegenerateSystemError:
-            continue
-        vectors = brute_force_endpoints(combo, m_max)
-        normalized = {normalize_weight_vector(v, combo) for v in vectors}
-        checked += 1
-        if solution is None:
-            if normalized:
-                mismatched += 1
-        else:
-            expected = (solution.weights, solution.c)
-            # the scan's common totals reach t_i = k_i / m only for m a
-            # multiple of every denominator
-            hit = lcm(*(t.den for t in solution.weights)) <= m_max
-            if normalized - {expected} or (hit and expected not in normalized):
-                mismatched += 1
-    print(f"cross-check: {checked} combinations, {mismatched} mismatches", file=sys.stderr)
-    return mismatched
-
-
 def cmd_enumerate(args) -> int:
     knot, reports = _knot_reports(args.knot, args.all_types, args.cap, args.dedupe)
-    if args.cross_check and _cross_check(knot):
-        return EXIT_VERIFY_FAILED
+    if args.cross_check:
+        checked, _, mismatched = cross_check(knot, m_max=64)
+        print(f"cross-check: {checked} combinations, {len(mismatched)} mismatches", file=sys.stderr)
+        if mismatched:
+            return EXIT_VERIFY_FAILED
     _emit_reports(reports, args.format)
     return EXIT_OK
 

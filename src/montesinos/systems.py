@@ -22,6 +22,15 @@ no solution. Otherwise c = B / A is accepted when every t_i lies in (0, 1]
 and every constant tangle satisfies c >= q_j (its point must stay on the
 horizontal edge).
 
+A combination of roots only is solved by the same rule: A is the sum of
+the fractions and B = 0, so it is degenerate exactly when the fractions
+sum to 0, and otherwise c = 0 lies below every root's range. A zero sum
+forces every q_i odd, since the one even q_i allowed would make p_i/q_i
+minus a sum of fractions with odd denominators, and then an even sum of
+the p_i, since p_i/q_i is congruent to p_i mod 2 when q_i is odd. Such
+a spec's diagram is a two-component link, so the degenerate note of a
+roots-only combination appears on links alone.
+
 A final edge runs to a smaller denominator, q_i < s_i, as the descent
 guarantees and E4 demands; the solve refuses any other. Then
 t_i = (s_i - c) / (s_i - q_i) is in (0, 1] exactly when q_i <= c < s_i,
@@ -69,7 +78,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .edgepaths import Edgepath, PathSkeleton, enumerate_skeletons, single_class_maximal_skeleton
 from .farey import diagram_edge, is_farey_edge
@@ -131,10 +140,10 @@ class MontesinosKnot:
 # -- endpoint solving --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EndpointSolution:
+class EndpointSolution(NamedTuple):
     """Solved weights t_i (one per moving path, in choice order) and the
-    common effective denominator c, with final u-coordinate 1 - 1/c."""
+    common effective denominator c, with final u-coordinate 1 - 1/c. A
+    solution equals the plain ``(weights, c)`` pair."""
 
     weights: tuple[Frac, ...]
     c: Frac
@@ -144,59 +153,49 @@ class EndpointSolution:
         return Frac(1) - Frac(1) / self.c
 
 
-def _check_moving_choice(choice: PathSkeleton):
-    if choice.final_left.is_infinite:
-        raise ValueError(f"{choice} ends at <inf>: nothing to solve")
-    if choice.final_left.den >= choice.final_right.den:
-        raise ValueError(f"{choice} has a final edge that does not run to a smaller denominator")
-
-
 def solve_endpoints(choices: Sequence[PathSkeleton]) -> EndpointSolution | None:
-    """Solve E3 exactly for one skeleton choice per tangle, as A * c = B,
-    in integers.
+    """Solve E3 exactly for one skeleton choice per tangle, as A * c = B
+    in integers, by the closed form of the module docstring.
 
-    Moving path i runs its final edge from r_i/s_i down to p_i/q_i; with
-    d_i = q_i - s_i it adds a_i = (p_i - r_i) / d_i to A and
-    b_i = s_i * a_i - r_i = (s_i * p_i - r_i * q_i) / d_i to B, which is
-    +-1/d_i on a Farey edge. Over D = prod d_i * prod q_j the sums are the
-    integers An = A * D and Bn = B * D, negated together so that An > 0.
-    Then c = Bn / An, and t_i = (Bn - s_i * An) / (d_i * An). Each choice
-    is in range when c lies in its ``_c_range``, whose ends are integers,
-    so only Bn // An is compared, and ``Frac``s are built only for an
-    accepted solve. A final edge needs q_i < s_i, or ValueError.
+    Moving path i, whose final edge runs from r_i/s_i down to p_i/q_i with
+    q_i < s_i (or ValueError), adds a_i = (p_i - r_i) / d_i to A and
+    b_i = (s_i * p_i - r_i * q_i) / d_i to B, with d_i = q_i - s_i. A root,
+    the constant choice, adds its fraction R_j to A and nothing to B, so a
+    combination of roots only is degenerate when the fractions sum to 0,
+    which happens only on a two-component link, and otherwise c = 0 is out
+    of every root's range. Each choice's ``_c_range`` has integer ends, so
+    only Bn // An is compared, and ``Frac``s are built only when accepted.
 
     Returns the unique solution when it exists and meets every range
     constraint, None when the equation is inconsistent or the solution
     falls outside the constraints. Raises DegenerateSystemError when every
     c solves it (A == 0 == B).
     """
-    # read n_edges, not the ``constant`` property: this runs per combination
-    moving = [ch for ch in choices if ch.n_edges]
-    constants = [ch for ch in choices if not ch.n_edges]
-    if not moving:
-        raise ValueError("need at least one moving path")
-    for ch in moving:
-        _check_moving_choice(ch)
-
     # An / D and Bn / D, one term at a time: x/D + y/d = (x*d + y*D) / (D*d)
     an = bn = 0
     dd = 1
     ends = []
-    for ch in moving:
-        left, right = ch.final_left, ch.final_right
-        p, q, r, s = left.num, left.den, right.num, right.den
-        d = q - s
-        an = an * d + (p - r) * dd
-        bn = bn * d + (s * p - r * q) * dd
-        dd *= d
-        ends.append((s, d))
-    for ch in constants:
-        tangle = ch.tangle
-        if tangle.is_infinite:
-            raise ValueError(f"{ch}: arithmetic with the infinite value")
-        an = an * tangle.den + tangle.num * dd
-        bn *= tangle.den
-        dd *= tangle.den
+    for ch in choices:
+        # read n_edges, not the ``constant`` property: this runs per combination
+        if ch.n_edges:
+            left, right = ch.final_left, ch.final_right
+            if left.is_infinite:
+                raise ValueError(f"{ch} ends at <inf>: nothing to solve")
+            p, q, r, s = left.num, left.den, right.num, right.den
+            if q >= s:
+                raise ValueError(f"{ch} has a final edge that does not run to a smaller denominator")
+            d = q - s
+            an = an * d + (p - r) * dd
+            bn = bn * d + (s * p - r * q) * dd
+            dd *= d
+            ends.append((s, d))
+        else:
+            tangle = ch.tangle
+            if tangle.is_infinite:
+                raise ValueError(f"{ch}: arithmetic with the infinite value")
+            an = an * tangle.den + tangle.num * dd
+            bn *= tangle.den
+            dd *= tangle.den
     if an == 0:
         if bn != 0:
             return None
@@ -360,12 +359,6 @@ def enumerate_systems_with_diagnostics(
     diagnostics: list[str] = []
 
     for combo in _meeting_combinations(solvable):
-        if all(ch.constant for ch in combo):
-            if sum(knot.tangles, Frac(0)) == 0:
-                diagnostics.append(
-                    "degenerate: all-constant combination: endpoints form a continuous family"
-                )
-            continue
         try:
             solution = solve_endpoints(combo)
         except DegenerateSystemError as exc:

@@ -8,14 +8,11 @@ are no tolerances anywhere.
 import functools
 import random
 import time
-from itertools import product
-from math import lcm
 
 import pytest
 
 from montesinos import (
     Frac,
-    brute_force_endpoints,
     enumerate_skeletons,
     enumerate_systems,
     exhaustive_paths,
@@ -23,12 +20,12 @@ from montesinos import (
     farey_parents,
     find_seifert_system,
     is_farey_edge,
-    normalize_weight_vector,
     solve_endpoints,
     system_twist,
     validate_system,
 )
 from montesinos import diagram_edge, edge_sign
+from montesinos.bruteforce import cross_check
 from montesinos.farey import diagram_uv
 from montesinos.cli import main
 from montesinos.family import (
@@ -37,7 +34,6 @@ from montesinos.family import (
     family_knot,
     verify_family_row,
 )
-from montesinos.systems import DegenerateSystemError
 
 from helpers import fr, skeleton
 
@@ -195,42 +191,12 @@ def test_criterion_5_endpoints():
             assert [str(v) for v in vs] == vs_expect
 
 
-def _solver_choice_lists(k):
-    return [
-        [
-            sk
-            for sk in enumerate_skeletons(f)
-            if not sk.final_left.is_infinite
-        ]
-        for f in k.tangles
-    ]
-
-
 @criterion(6, "solver agrees with the brute-force oracle")
 def test_criterion_6_oracle_equivalence():
-    m_max = 64
     for n in (11, 13):
-        k = family_knot(n)
-        combos = checked = 0
-        for combo in product(*_solver_choice_lists(k)):
-            if all(ch.constant for ch in combo):
-                continue
-            combos += 1
-            try:
-                solution = solve_endpoints(combo)
-            except DegenerateSystemError:
-                continue
-            vectors = brute_force_endpoints(combo, m_max)
-            normalized = {normalize_weight_vector(v, combo) for v in vectors}
-            if solution is None:
-                assert not normalized, f"n={n}: oracle found endpoints the solver missed"
-            else:
-                expected = (solution.weights, solution.c)
-                assert normalized <= {expected}, f"n={n}: oracle disagrees"
-                if lcm(*(t.den for t in solution.weights)) <= m_max:
-                    assert expected in normalized, f"n={n}: solver endpoint not scanned"
-                    checked += 1
-        assert combos > 200 and checked > 5
+        checked, reached, mismatched = cross_check(family_knot(n), 64)
+        assert mismatched == [], f"n={n}: solver and oracle disagree"
+        assert checked > 200 and reached > 5
     compared = 0
     for q in range(2, 14):
         for p in range(-q - 2, q + 3):

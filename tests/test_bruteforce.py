@@ -1,7 +1,6 @@
 """Agreement between the exact solver and the brute-force verifiers."""
 
-from itertools import product
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,10 +16,11 @@ from montesinos import (
     normalize_weight_vector,
     solve_endpoints,
 )
+from montesinos.bruteforce import cross_check
 from montesinos.rationals import INF
-from montesinos.systems import DegenerateSystemError, solver_choices
+from montesinos.systems import DegenerateSystemError
 
-from helpers import fr, skeleton
+from helpers import fr, knot, skeleton
 
 
 def test_integer_weights_for_first_system():
@@ -33,7 +33,7 @@ def test_integer_weights_for_first_system():
     assert WeightVector(11, (1, 1, 10)) in vectors
     solution = solve_endpoints(choices)
     for v in vectors:
-        assert normalize_weight_vector(v, choices) == (solution.weights, solution.c)
+        assert normalize_weight_vector(v, choices) == solution
 
 
 def test_integer_weights_with_constant_path():
@@ -45,7 +45,7 @@ def test_integer_weights_with_constant_path():
     vectors = brute_force_endpoints(choices, 4)
     assert WeightVector(4, (2, 3)) in vectors
     solution = solve_endpoints(choices)
-    assert normalize_weight_vector(vectors[0], choices) == (solution.weights, solution.c)
+    assert normalize_weight_vector(vectors[0], choices) == solution
 
 
 def test_infeasible_choice_finds_nothing():
@@ -120,37 +120,9 @@ def test_generator_agrees_with_unpruned_search(tangle):
 
 
 def test_every_brute_vector_normalizes_into_the_solver(k_spec="-1/2,2/5,1/13"):
-    from itertools import product
-
-    from helpers import knot
-
-    k = knot(k_spec)
-    per_tangle = [
-        [
-            sk
-            for sk in enumerate_skeletons(f)
-            if not sk.final_left.is_infinite
-        ]
-        for f in k.tangles
-    ]
-    checked = 0
-    for combo in product(*per_tangle):
-        if all(ch.constant for ch in combo):
-            continue
-        try:
-            solution = solve_endpoints(combo)
-        except DegenerateSystemError:
-            continue
-        vectors = brute_force_endpoints(combo, 16)
-        normalized = {normalize_weight_vector(v, combo) for v in vectors}
-        if solution is None:
-            assert not normalized
-        else:
-            assert normalized <= {(solution.weights, solution.c)}
-            if lcm(*(t.den for t in solution.weights)) <= 16:
-                checked += 1
-                assert (solution.weights, solution.c) in normalized
-    assert checked > 0
+    checked, reached, mismatched = cross_check(knot(k_spec), 16)
+    assert mismatched == []
+    assert checked > reached > 0
 
 
 # -- seeded differential test over small random knots ------------------------
@@ -168,21 +140,5 @@ small_knots = st.lists(small_tangles, min_size=3, max_size=3).filter(
 @example([(-2, 3), (3, 5), (-1, 7)])
 @given(small_knots)
 def test_solver_agrees_with_brute_force_on_random_knots(tangles):
-    m_max = 12
     k = MontesinosKnot(tuple(Frac(p, q) for p, q in tangles))
-    per_tangle = [solver_choices(enumerate_skeletons(f)) for f in k.tangles]
-    for combo in product(*per_tangle):
-        if all(ch.constant for ch in combo):
-            continue
-        try:
-            solution = solve_endpoints(combo)
-        except DegenerateSystemError:
-            continue
-        normalized = {normalize_weight_vector(v, combo) for v in brute_force_endpoints(combo, m_max)}
-        if solution is None:
-            assert not normalized, combo
-            continue
-        expected = (solution.weights, solution.c)
-        assert normalized <= {expected}, combo
-        if lcm(*(t.den for t in solution.weights)) <= m_max:
-            assert expected in normalized, combo
+    assert cross_check(k, 12)[2] == []

@@ -1,6 +1,7 @@
 """Command-line behaviour: formats, determinism, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -8,8 +9,8 @@ from collections import Counter
 import pytest
 
 import montesinos.systems as systems_module
-from montesinos import MontesinosKnot
-from montesinos.cli import _cross_check, main
+from montesinos import MontesinosKnot, bruteforce
+from montesinos.cli import main
 
 from helpers import child_env
 
@@ -169,11 +170,13 @@ def test_verify_family_failure_exit_code(capsys, monkeypatch):
 
 
 def test_cross_check_mismatch_exit_code(capsys, monkeypatch):
-    import montesinos.cli as cli_module
-
-    monkeypatch.setattr(cli_module, "_cross_check", lambda knot, m_max=64: 3)
-    code, _, _ = run_cli(capsys, "enumerate", "--cross-check", "-1/2,2/5,1/11")
-    assert code == 1
+    # a solver that finds nothing: every combination the scan solves mismatches
+    monkeypatch.setattr(bruteforce, "solve_endpoints", lambda choices: None)
+    code, out, err = run_cli(capsys, "enumerate", "--cross-check", "-1/2,2/5,1/11")
+    assert code == 1 and out == ""
+    summary = re.fullmatch(r"cross-check: (\d+) combinations, (\d+) mismatches\n", err)
+    checked, mismatched = map(int, summary.groups())
+    assert checked == 215 and 0 < mismatched < checked
 
 
 def test_verify_family_csv(capsys):
@@ -344,11 +347,10 @@ def test_cross_check_flag(capsys):
 
 
 @pytest.mark.parametrize("m_max", [3, 4, 5])
-def test_cross_check_expects_only_weights_the_scan_reaches(capsys, m_max):
+def test_cross_check_expects_only_weights_the_scan_reaches(m_max):
     # one solve has weights with denominators 1, 2 and 3: each is at most
     # m_max, but the scan's common totals reach them only from m = lcm = 6
-    assert _cross_check(MontesinosKnot.parse("1/6,-10/9,-7/9,23/13"), m_max) == 0
-    assert capsys.readouterr().err.endswith(", 0 mismatches\n")
+    assert bruteforce.cross_check(MontesinosKnot.parse("1/6,-10/9,-7/9,23/13"), m_max)[2] == []
 
 
 def test_console_script_entry_point():

@@ -118,8 +118,19 @@ def test_inconsistent_choice_returns_none():
 
 
 def test_all_constant_rejected():
-    with pytest.raises(ValueError, match="moving"):
+    # roots only: A is the sum of the fractions and B = 0, so a zero sum is
+    # degenerate and any other sum puts c = 0 below every root's range
+    with pytest.raises(DegenerateSystemError) as exc:
         solve_endpoints([skeleton("1/2"), skeleton("-1/2")])
+    assert str(exc.value) == (
+        "degenerate: endpoints form a continuous family for constant on <1/2>; constant on <-1/2>"
+    )
+    assert solve_endpoints([skeleton("1/2"), skeleton("-1/3"), skeleton("1/5")]) is None
+    # the enumeration solves its roots-only combination, first in product order
+    _, notes = enumerate_systems_with_diagnostics(knot("1/3,-1/3,1/5,-1/5"))
+    assert notes[0] == "degenerate: endpoints form a continuous family for " + (
+        "constant on <1/3>; constant on <-1/3>; constant on <1/5>; constant on <-1/5>"
+    )
 
 
 def test_solver_rejects_infinity_finals():
@@ -138,9 +149,7 @@ def solve_outcome(solve, choices):
         return ("degenerate", str(exc))
     except ValueError:
         return "ValueError"
-    if result is None or isinstance(result, tuple):
-        return result
-    return result.weights, result.c
+    return result
 
 
 def test_integer_kernel_matches_the_frac_closed_form():
@@ -148,8 +157,6 @@ def test_integer_kernel_matches_the_frac_closed_form():
     kinds = set()
     for k in [knot("-1/2,2/5,1/11"), knot("3/7,-5/13,8/21"), *RANDOM_KNOTS[:4]]:
         for combo in product(*(solver_choices(enumerate_skeletons(f)) for f in k.tangles)):
-            if all(ch.constant for ch in combo):
-                continue
             expected = solve_outcome(solve_endpoints_by_fracs, combo)
             assert solve_outcome(solve_endpoints, combo) == expected, [str(ch) for ch in combo]
             if expected is None:
@@ -191,8 +198,6 @@ def test_integer_kernel_matches_the_frac_closed_form_on_hand_built_chains():
     kinds = set()
     for _ in range(3000):
         choices = random_hand_built_choices(rng)
-        if all(ch.constant for ch in choices):
-            continue
         if any(not ch.constant and ch.final_left.den > ch.final_right.den for ch in choices):
             # a final edge to a larger denominator is refused, never solved
             with pytest.raises(ValueError, match=NOT_DESCENDING):
@@ -239,11 +244,7 @@ def test_constant_marker_at_infinity_is_refused():
 
 def test_rejected_solve_builds_no_frac(monkeypatch):
     k = knot("-1/2,2/5,1/21")
-    combos = [
-        combo
-        for combo in product(*(solver_choices(enumerate_skeletons(f)) for f in k.tangles))
-        if not all(ch.constant for ch in combo)
-    ]
+    combos = list(product(*(solver_choices(enumerate_skeletons(f)) for f in k.tangles)))
     built = [0]
     frac_init = Frac.__init__
 
