@@ -11,9 +11,10 @@ Knots are written as comma-separated fractions, e.g. "-1/2,2/5,1/11".
 Output is byte-deterministic for a fixed invocation. Exit codes: 0 ok,
 1 verification failure, 2 usage or parse error, 3 a size limit was hit
 (the combination cap, or memory), 4 internal invariant failure (a report
-identity broke, or a degenerate endpoint solve escaped its handler), 5 no
-Seifert reference (every q_i odd and the p_i summing to an odd number),
-141 stdout closed early (e.g. by ``| head``).
+identity broke, the Seifert reference is not one of the systems exactly
+once, or a degenerate endpoint solve escaped its handler), 5 no Seifert
+reference (every q_i odd and the p_i summing to an odd number), 141
+stdout closed early (e.g. by ``| head``).
 """
 
 from __future__ import annotations

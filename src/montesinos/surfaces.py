@@ -2,14 +2,18 @@
 
 The twist of a system is the sum of its edge twists. Boundary slopes are
 twist differences against the Seifert reference, so the reference itself
-has slope 0 and only differences matter. The number of sheets is the
-least common multiple of the integers forced by the path endpoints: a
-final partial edge of length k/(k+l) in lowest terms forces a multiple of
-k+l, and a constant path with weight k/(k+l) on the interior vertex forces
-a multiple of k. Sheets factor as (boundary components) x (denominator of
-the reduced slope); reports carry the slope expression over the sheet
-count unreduced, so any collapse of that denominator is auditable. For a
-type I system with common endpoint u the Euler characteristic satisfies
+has slope 0 and only differences matter. The reference is walked once per
+knot by ``systems.find_seifert_system``, and exactly one report, the one
+whose system has the reference's paths, carries the Seifert flag.
+
+The number of sheets is the least common multiple of the integers forced
+by the path endpoints: a final partial edge of length k/(k+l) in lowest
+terms forces a multiple of k+l, and a constant path with weight k/(k+l)
+on the interior vertex forces a multiple of k. Sheets factor as
+(boundary components) x (denominator of the reduced slope); reports
+carry the slope expression over the sheet count unreduced, so any
+collapse of that denominator is auditable. For a type I system with
+common endpoint u the Euler characteristic satisfies
 
     -chi / sheets = sum of non-constant path lengths
                     + N_const - N
@@ -29,7 +33,7 @@ and reports only when its caller asks for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 from typing import NamedTuple
 
 from .rationals import Frac
@@ -39,7 +43,6 @@ from .systems import (
     MontesinosKnot,
     enumerate_systems_with_diagnostics,
     find_seifert_system,
-    is_seifert_candidate,
     system_twist,
 )
 
@@ -156,50 +159,41 @@ class SurfaceReport:
         }
 
 
-def build_report(system: EdgepathSystem, reference_twist: Frac) -> SurfaceReport:
+def build_report(system: EdgepathSystem, reference_twist: Frac, seifert: bool) -> SurfaceReport:
+    """One system's report; ``seifert`` marks the reference system itself."""
     twist = system_twist(system)
     slope = twist - reference_twist
     sheets = number_of_sheets(system)
-    raw_num = slope * sheets
-    if raw_num.den != 1:
-        raise IntegrityError(f"slope {slope} not supported on {sheets} sheets")
-    raw_slope = (raw_num.num, sheets)
     components = boundary_component_count(sheets, slope)
-    euler = (
-        euler_characteristic_type_I(system, sheets)
-        if system.system_type == "I"
-        else None
-    )
+    raw_slope = (slope.num * components, sheets)
+    euler = euler_characteristic_type_I(system, sheets) if system.system_type == "I" else None
     status, reason = essentiality(system)
-    seifert = is_seifert_candidate(system)
-    if seifert and slope != 0:
-        raise IntegrityError(f"Seifert-parity system with nonzero slope {slope}")
     notes = []
     if components > 1:
-        g = gcd(abs(raw_slope[0]), raw_slope[1])
         notes.append(
-            f"slope expression {raw_slope[0]}/{raw_slope[1]} reduces by factor {g}; "
+            f"slope expression {raw_slope[0]}/{raw_slope[1]} reduces by factor {components}; "
             "the component count uses the reduced denominator"
         )
     return SurfaceReport(
-        system=system,
-        twist=twist,
-        slope=slope,
-        raw_slope=raw_slope,
-        sheets=sheets,
-        euler=euler,
-        boundary_components=components,
-        essential=status,
-        essential_reason=reason,
-        seifert_flag=seifert,
-        notes=tuple(notes),
+        system=system, twist=twist, slope=slope, raw_slope=raw_slope, sheets=sheets, euler=euler,
+        boundary_components=components, essential=status, essential_reason=reason,
+        seifert_flag=seifert, notes=tuple(notes),
     )
 
 
-def build_reports(systems, reference_twist: Frac) -> list[SurfaceReport]:
-    """Reports for all systems against the reference twist, sorted by
-    slope then system type."""
-    reports = [build_report(s, reference_twist) for s in systems]
+def build_reports(systems, reference: EdgepathSystem) -> list[SurfaceReport]:
+    """Reports for all systems against the Seifert reference system, sorted
+    by slope then system type. A report is flagged as the reference exactly
+    when its system is type III with the reference's paths, and exactly one
+    must be (IntegrityError otherwise)."""
+    reference_twist = system_twist(reference)
+    reports = [
+        build_report(s, reference_twist, s.system_type == "III" and s.paths == reference.paths)
+        for s in systems
+    ]
+    flagged = sum(r.seifert_flag for r in reports)
+    if flagged != 1:
+        raise IntegrityError(f"the Seifert reference matches {flagged} of the enumerated systems, not one")
     reports.sort(key=lambda r: (r.slope, r.system.system_type))
     return reports
 
@@ -220,5 +214,7 @@ def analyze(
     first, over all three types), the Seifert reference twist they are
     measured against, and the enumeration's degeneracy notes."""
     systems, diagnostics = enumerate_systems_with_diagnostics(knot, cap, type_ii)
-    reference_twist = system_twist(find_seifert_system(knot))
-    return Analysis(build_reports(systems, reference_twist), reference_twist, diagnostics)
+    reports = build_reports(systems, find_seifert_system(knot))
+    # the one flagged report is the reference's own
+    reference_twist = next(r.twist for r in reports if r.seifert_flag)
+    return Analysis(reports, reference_twist, diagnostics)

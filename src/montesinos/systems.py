@@ -69,8 +69,9 @@ taking at each vertex the one parent of the other reduction
 path, ending on the parity of p_i; an even q_i has one per parity. A
 knot has at most one even q_i, so the second condition fixes the rest:
 the even tangle's path ends on the parity of the odd p_i's sum, and if
-every q_i is odd that sum must be even. ``is_seifert_candidate`` derives
-both conditions again from the vertex values.
+every q_i is odd that sum must be even. The pipeline runs this walk
+alone; ``is_seifert_candidate`` derives both conditions again from the
+vertex values, a second derivation that the pipeline never calls.
 """
 
 from __future__ import annotations

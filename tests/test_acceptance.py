@@ -13,6 +13,7 @@ import pytest
 
 from montesinos import (
     Frac,
+    analyze,
     enumerate_skeletons,
     enumerate_systems,
     exhaustive_paths,
@@ -20,6 +21,7 @@ from montesinos import (
     farey_parents,
     find_seifert_system,
     is_farey_edge,
+    is_seifert_candidate,
     solve_endpoints,
     system_twist,
     validate_system,
@@ -72,7 +74,7 @@ def family_reports():
         k = family_knot(n)
         systems = enumerate_systems(k)
         reference = find_seifert_system(k)
-        out[n] = (k, systems, reference, build_reports(systems, system_twist(reference)))
+        out[n] = (k, systems, reference, build_reports(systems, reference))
     return out
 
 
@@ -96,10 +98,11 @@ def test_criterion_2_seifert_reference(family_rows):
     rows, _ = family_rows
     for n in FAMILY_RANGE:
         row = rows[n]
-        failures = row["failures"]
-        assert "reference_twist" not in failures
-        assert "reference_slope" not in failures
+        assert "reference_twist" not in row["failures"]
         assert row["reference_twist"] == str(4 - 2 * n)
+        # the flagged report, found by identity, against the vertex-value derivation
+        (flagged,) = [r for r in analyze(family_knot(n), type_ii=False).reports if r.seifert_flag]
+        assert is_seifert_candidate(flagged.system) and flagged.slope == 0, f"n={n}"
 
 
 @criterion(3, "gap equals 2(1/(n-7) - 1/n), decreasing, small for large n")
@@ -115,7 +118,7 @@ def test_criterion_3_gap(family_rows):
     assert all(a > b for a, b in zip(gaps, gaps[1:])), "gap sequence not decreasing"
     for n in (47, 49):
         k = family_knot(n)
-        reports = build_reports(enumerate_systems(k), system_twist(find_seifert_system(k)))
+        reports = build_reports(enumerate_systems(k), find_seifert_system(k))
         small, big = expected_family_slopes(n)
         slopes = {r.slope for r in reports}
         assert small in slopes and big in slopes
@@ -135,7 +138,7 @@ def test_criterion_4_surface_invariants(family_rows):
     # spot-check the identities directly at n = 11 and 13
     for n in (11, 13):
         k = family_knot(n)
-        reports = build_reports(enumerate_systems(k), system_twist(find_seifert_system(k)))
+        reports = build_reports(enumerate_systems(k), find_seifert_system(k))
         small, big = expected_family_slopes(n)
         r_small = next(r for r in reports if r.slope == small)
         r_big = next(r for r in reports if r.slope == big)

@@ -268,9 +268,9 @@ def test_default_enumerate_builds_no_type_II_report(capsys, monkeypatch):
     real = surfaces_module.build_report
     built = Counter()
 
-    def counted(system, reference_twist):
+    def counted(system, reference_twist, seifert):
         built[system.system_type] += 1
-        return real(system, reference_twist)
+        return real(system, reference_twist, seifert)
 
     monkeypatch.setattr(surfaces_module, "build_report", counted)
     code, _, _ = run_cli(capsys, "enumerate", "3/7,-5/13,8/21,13/34")
@@ -306,7 +306,7 @@ def test_internal_invariant_exit_code(capsys, monkeypatch):
     errors = (IntegrityError("non-integral Euler characteristic 1/2"), DegenerateSystemError("degenerate"))
     for error in errors:
 
-        def broken(systems, reference_twist, error=error):
+        def broken(systems, reference, error=error):
             raise error
 
         monkeypatch.setattr(surfaces_module, "build_reports", broken)
@@ -314,6 +314,17 @@ def test_internal_invariant_exit_code(capsys, monkeypatch):
         assert code == cli_module.EXIT_INTERNAL == 4
         assert out == ""
         assert err == f"error: {error}\n"
+
+
+def test_reference_missing_from_the_systems_exits_4(capsys, monkeypatch):
+    import montesinos.surfaces as surfaces_module
+
+    other = systems_module.find_seifert_system(MontesinosKnot.parse("-1/2,2/5,1/13"))
+    monkeypatch.setattr(surfaces_module, "find_seifert_system", lambda knot: other)
+    code, out, err = run_cli(capsys, "enumerate", "-1/2,2/5,1/11")
+    assert code == 4
+    assert out == ""
+    assert err == "error: the Seifert reference matches 0 of the enumerated systems, not one\n"
 
 
 def test_out_of_memory_exits_3_without_traceback(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """The per-tangle Seifert search against the brute-force search it replaced."""
 
+import json
 import random
 import subprocess
 import sys
@@ -7,7 +8,16 @@ from math import gcd
 
 import pytest
 
-from montesinos import Frac, SeifertReferenceError, enumerate_skeletons, find_seifert_system
+from montesinos import (
+    Frac,
+    SeifertReferenceError,
+    analyze,
+    enumerate_skeletons,
+    enumerate_systems_with_diagnostics,
+    find_seifert_system,
+    is_seifert_candidate,
+)
+from montesinos.cli import main
 from montesinos.edgepaths import single_class_maximal_skeleton
 
 from helpers import child_env, family_spec, knot, seifert_search_oracle, single_class_by_vertices
@@ -90,6 +100,27 @@ def test_oracle_sample_covers_refusals_and_references():
     outcomes = [search_outcome(seifert_search_oracle, spec) for spec in random_specs(2013, 60)]
     refused = sum(isinstance(o, str) for o in outcomes)
     assert 0 < refused < len(outcomes)
+
+
+def test_flagged_reports_are_the_systems_the_parity_conditions_accept(capsys):
+    """The pipeline flags the report whose system equals the walked
+    reference; on every seeded knot with a reference, that is exactly the
+    one enumerated system that ``is_seifert_candidate`` accepts, and
+    ``seifert --json`` prints its paths. Type II systems are left out on
+    both sides: a candidate is type III."""
+    checked = 0
+    for spec in random_specs(2013, 60) + wider_specs(1989, 200):
+        if isinstance(search_outcome(find_seifert_system, spec), str):
+            continue
+        k = knot(spec)
+        flagged = [r.system for r in analyze(k, type_ii=False).reports if r.seifert_flag]
+        systems, _ = enumerate_systems_with_diagnostics(k, type_ii=False)
+        assert flagged == [s for s in systems if is_seifert_candidate(s)], spec
+        assert len(flagged) == 1, spec
+        assert main(["seifert", "--json", spec]) == 0
+        assert json.loads(capsys.readouterr().out)["paths"] == list(flagged[0].render_paths()), spec
+        checked += 1
+    assert checked > 200
 
 
 def test_pretzel_333_is_refused():

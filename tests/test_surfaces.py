@@ -30,7 +30,7 @@ def k11():
     k = knot("-1/2,2/5,1/11")
     systems = enumerate_systems(k)
     reference = find_seifert_system(k)
-    reports = build_reports(systems, system_twist(reference))
+    reports = build_reports(systems, reference)
     return k, systems, reference, reports
 
 
