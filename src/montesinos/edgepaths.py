@@ -133,9 +133,20 @@ class PathSkeleton:
         return Edgepath(self, final_weight)
 
     def __eq__(self, other):
+        """Equal vertex sequences. The O(1) fields are compared first, then
+        the vertices of the two parent chains, now of one length, in step
+        down to a node they share or past both roots: no tuple is built."""
         if not isinstance(other, PathSkeleton):
             return NotImplemented
-        return self is other or (self.tangle == other.tangle and self.vertices == other.vertices)
+        if self.n_edges != other.n_edges or self.sign_sum != other.sign_sum:
+            return False
+        a, b = self, other
+        while a is not b:
+            x, y = a.final_left, b.final_left
+            if x.num != y.num or x.den != y.den:  # normalized, so equal values
+                return False
+            a, b = a.parent, b.parent
+        return True
 
     def __hash__(self):
         return hash((self.tangle, self.n_edges, self.final_left))
@@ -205,16 +216,24 @@ class Edgepath:
     def u0(self) -> Frac:
         return self.endpoint_uv()[0]
 
-    def twist(self) -> Frac:
-        """-2 * (the full edges' signs + the final sign * final weight),
-        read from the node's running sums. Constant paths have twist 0."""
+    def signed_length(self) -> tuple[int, int]:
+        """The full edges' signs plus the final sign times the final weight,
+        read from the node's running sums, as an integer numerator over the
+        weight's denominator (over 1 for a path ending at a vertex). The
+        twist is -2 times it; constant paths have 0."""
         sk = self.skeleton
         t = self.final_weight
         if t is None or not sk.n_edges:  # a root's sign sum is 0
-            return Frac(-2 * sk.sign_sum)
-        # the parent's sum covers the full edges: -2 * (full + last * t) as one Frac
+            return sk.sign_sum, 1
+        # the parent's sum covers the full edges
         full = sk.parent.sign_sum
-        return Frac(-2 * (full * t.den + (sk.sign_sum - full) * t.num), t.den)
+        return full * t.den + (sk.sign_sum - full) * t.num, t.den
+
+    def twist(self) -> Frac:
+        """-2 * (the full edges' signs + the final sign * final weight).
+        Constant paths have twist 0."""
+        num, den = self.signed_length()
+        return Frac(-2 * num, den)
 
     def length(self) -> Frac:
         """Total traversed length (full edges count 1, the partial final

@@ -27,12 +27,17 @@ at least one path is constant. Everything else is "undetermined"; the
 package never claims a surface is inessential.
 
 ``analyze`` is the whole pipeline for one knot; it builds type II systems
-and reports only when its caller asks for them.
+and reports only when its caller asks for them. The enumeration hands its
+systems over unsorted, and ``build_reports`` sorts the reports once: by
+slope, compared as integers over the slopes' common denominator, then by
+system type, with rendered paths ordering only the reports that tie.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
+from itertools import groupby
 from math import lcm
 from typing import NamedTuple
 
@@ -183,9 +188,10 @@ def build_report(system: EdgepathSystem, reference_twist: Frac, seifert: bool) -
 
 def build_reports(systems, reference: EdgepathSystem) -> list[SurfaceReport]:
     """Reports for all systems against the Seifert reference system, sorted
-    by slope then system type. A report is flagged as the reference exactly
-    when its system is type III with the reference's paths, and exactly one
-    must be (IntegrityError otherwise)."""
+    by slope, then system type, then rendered paths, in any input order.
+    A report is flagged as the reference exactly when its system is type
+    III with the reference's paths, and exactly one must be
+    (IntegrityError otherwise)."""
     reference_twist = system_twist(reference)
     reports = [
         build_report(s, reference_twist, s.system_type == "III" and s.paths == reference.paths)
@@ -194,8 +200,30 @@ def build_reports(systems, reference: EdgepathSystem) -> list[SurfaceReport]:
     flagged = sum(r.seifert_flag for r in reports)
     if flagged != 1:
         raise IntegrityError(f"the Seifert reference matches {flagged} of the enumerated systems, not one")
-    reports.sort(key=lambda r: (r.slope, r.system.system_type))
-    return reports
+    # one sort on the slopes as integers over their common denominator ("I" <
+    # "II" < "III" as strings); paths are rendered only to order a tie
+    scale = lcm(*(r.slope.den for r in reports))
+
+    def key(r):
+        return r.slope.num * (scale // r.slope.den), r.system.system_type
+
+    reports.sort(key=key)
+    ordered = []
+    for _, group in groupby(reports, key=key):
+        ordered.extend(sorted(group, key=cmp_to_key(_by_rendered_paths)))
+    return ordered
+
+
+def _by_rendered_paths(a: SurfaceReport, b: SurfaceReport) -> int:
+    """The order of the two systems' rendered path tuples. A path object
+    the two systems share renders alike, so it is skipped unrendered: a
+    long chain shared by tied systems is never rendered here."""
+    for x, y in zip(a.system.paths, b.system.paths):
+        if x is not y:
+            rx, ry = x.render(), y.render()
+            if rx != ry:
+                return -1 if rx < ry else 1
+    return 0
 
 
 class Analysis(NamedTuple):

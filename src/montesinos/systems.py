@@ -39,6 +39,19 @@ so each choice is a c-interval: [q_i, s_i) for a moving path and
 first and drops a branch once the running intersection is empty, so
 combinations that cannot meet are never built or solved.
 
+A tangle's tree holds long twist regions, such as the chain 1/n, 1/(n-1),
+..., 1/1 of a 1/n tangle, where a path fans around one pivot: each vertex
+is the one before it less one step (y, w), w > 0. A run of consecutive
+solver choices, each the child of the one before, then has final edges
+from v + (y, w) down to v, from v down to v - (y, w), and so on. Every
+one of them adds a_i = y / w to A and b_i = -(w * p_i - y * q_i) / w to
+B, and w * p_i - y * q_i does not change under the step. With the other
+tangles' choices fixed, c = B / A is one value for the whole run, and the
+run's c-ranges [q_i, q_i + w) tile one interval, so only the one choice
+whose range holds c can be accepted. The enumeration sums A and B once
+per meeting combination of runs and solves that one choice per run: the
+number of solves follows the number of runs, not the length of a chain.
+
 The solve runs in integers. With d_i = q_i - s_i, each b_i = s_i * a_i - r_i
 equals (s_i * p_i - r_i * q_i) / d_i, which is +-1/d_i because the Farey
 determinant of an edge is +-1. Over D = prod d_i * prod q_j, An = A * D and
@@ -154,24 +167,11 @@ class EndpointSolution(NamedTuple):
         return Frac(1) - Frac(1) / self.c
 
 
-def solve_endpoints(choices: Sequence[PathSkeleton]) -> EndpointSolution | None:
-    """Solve E3 exactly for one skeleton choice per tangle, as A * c = B
-    in integers, by the closed form of the module docstring.
-
-    Moving path i, whose final edge runs from r_i/s_i down to p_i/q_i with
-    q_i < s_i (or ValueError), adds a_i = (p_i - r_i) / d_i to A and
-    b_i = (s_i * p_i - r_i * q_i) / d_i to B, with d_i = q_i - s_i. A root,
-    the constant choice, adds its fraction R_j to A and nothing to B, so a
-    combination of roots only is degenerate when the fractions sum to 0,
-    which happens only on a two-component link, and otherwise c = 0 is out
-    of every root's range. Each choice's ``_c_range`` has integer ends, so
-    only Bn // An is compared, and ``Frac``s are built only when accepted.
-
-    Returns the unique solution when it exists and meets every range
-    constraint, None when the equation is inconsistent or the solution
-    falls outside the constraints. Raises DegenerateSystemError when every
-    c solves it (A == 0 == B).
-    """
+def _endpoint_sums(choices: Sequence[PathSkeleton]) -> tuple[int, int, list[tuple[int, int]]]:
+    """The integers An = A * D and Bn = B * D of the module docstring,
+    negated together so that An >= 0, and each moving path's (s_i, d_i) in
+    choice order. A final edge must run to a smaller denominator, q_i < s_i
+    (ValueError otherwise)."""
     # An / D and Bn / D, one term at a time: x/D + y/d = (x*d + y*D) / (D*d)
     an = bn = 0
     dd = 1
@@ -197,6 +197,30 @@ def solve_endpoints(choices: Sequence[PathSkeleton]) -> EndpointSolution | None:
             an = an * tangle.den + tangle.num * dd
             bn *= tangle.den
             dd *= tangle.den
+    if an < 0:
+        an, bn = -an, -bn
+    return an, bn, ends
+
+
+def solve_endpoints(choices: Sequence[PathSkeleton]) -> EndpointSolution | None:
+    """Solve E3 exactly for one skeleton choice per tangle, as A * c = B
+    in integers, by the closed form of the module docstring.
+
+    Moving path i, whose final edge runs from r_i/s_i down to p_i/q_i with
+    q_i < s_i (or ValueError), adds a_i = (p_i - r_i) / d_i to A and
+    b_i = (s_i * p_i - r_i * q_i) / d_i to B, with d_i = q_i - s_i. A root,
+    the constant choice, adds its fraction R_j to A and nothing to B, so a
+    combination of roots only is degenerate when the fractions sum to 0,
+    which happens only on a two-component link, and otherwise c = 0 is out
+    of every root's range. Each choice's ``_c_range`` has integer ends, so
+    only Bn // An is compared, and ``Frac``s are built only when accepted.
+
+    Returns the unique solution when it exists and meets every range
+    constraint, None when the equation is inconsistent or the solution
+    falls outside the constraints. Raises DegenerateSystemError when every
+    c solves it (A == 0 == B).
+    """
+    an, bn, ends = _endpoint_sums(choices)
     if an == 0:
         if bn != 0:
             return None
@@ -204,8 +228,6 @@ def solve_endpoints(choices: Sequence[PathSkeleton]) -> EndpointSolution | None:
             "degenerate: endpoints form a continuous family for "
             + "; ".join(str(ch) for ch in choices)
         )
-    if an < 0:
-        an, bn = -an, -bn
     whole = bn // an  # lo <= c < hi exactly when lo <= whole < hi, for integer ends
     for ch in choices:
         lo, hi = _c_range(ch)
@@ -247,11 +269,13 @@ class EdgepathSystem:
 
 
 def system_twist(system: EdgepathSystem) -> Frac:
-    """The system's twist: the sum of its paths' twists."""
-    total = Frac(0)
+    """The system's twist: -2 times the sum of its paths' signed lengths,
+    added in integers over one common denominator into one ``Frac``."""
+    num, den = 0, 1
     for path in system.paths:
-        total = total + path.twist()
-    return total
+        n, d = path.signed_length()
+        num, den = num * d + n * den, den * d  # x/den + n/d, and d is 1 at a vertex
+    return Frac(-2 * num, den)
 
 
 def _build_solved_system(
@@ -298,17 +322,64 @@ def solver_choices(skeletons: Sequence[PathSkeleton]) -> list[PathSkeleton]:
     return [sk for sk in skeletons if not sk.final_left.is_infinite]
 
 
-def _c_range(choice: PathSkeleton) -> tuple[int, int | float]:
+class _TwistRegion(NamedTuple):
+    """A twist region: a run of one tangle's solver choices,
+    ``nodes[start:stop]``, each the child of the one before with its final
+    edge one pivot step (y, w) below the one before's. The choices add the
+    same terms to A and B, and their c-ranges [q, q + w) tile the region's
+    range from the top down (module docstring). A choice that starts no
+    run is a region of one."""
+
+    nodes: Sequence[PathSkeleton]
+    start: int
+    stop: int
+
+    def index_for(self, whole: int) -> int:
+        """The index of the choice whose c-range holds ``whole``, or of the
+        run's nearer end when none does, in O(1)."""
+        if self.stop - self.start == 1:
+            return self.start
+        first = self.nodes[self.start]
+        q = first.final_left.den
+        # choice k of the run has the range [q - k * w, q - k * w + w)
+        k = (q - whole - 1) // (first.final_right.den - q) + 1
+        return self.start + min(max(k, 0), self.stop - self.start - 1)
+
+    def index_of(self, choice: PathSkeleton) -> int:
+        """The index of one of the run's choices: its edges past the first's."""
+        return self.start + choice.n_edges - self.nodes[self.start].n_edges
+
+
+def _twist_regions(choices: Sequence[PathSkeleton]) -> list[_TwistRegion]:
+    """A tangle's solver choices cut into maximal runs, in one pass."""
+    regions = []
+    start = 0
+    for i in range(1, len(choices)):
+        prev, node = choices[i - 1], choices[i]
+        if node.parent is prev and prev.n_edges:
+            right, mid, left = prev.final_right, prev.final_left, node.final_left
+            if right.num - mid.num == mid.num - left.num and right.den - mid.den == mid.den - left.den:
+                continue
+        regions.append(_TwistRegion(choices, start, i))
+        start = i
+    regions.append(_TwistRegion(choices, start, len(choices)))
+    return regions
+
+
+def _c_range(choice: PathSkeleton | _TwistRegion) -> tuple[int, int | float]:
     """The half-open interval [lo, hi) of effective denominators c that
     keep the choice in range: [q, s) for a moving path, whose final edge
-    runs from r/s down to p/q, and [q_j, inf) for a constant path. The
-    ends are only compared, never multiplied, so ``math.inf`` stays exact."""
+    runs from r/s down to p/q, and [q_j, inf) for a constant path. A twist
+    region's is the union of its choices' ranges. The ends are only
+    compared, never multiplied, so ``math.inf`` stays exact."""
+    if isinstance(choice, _TwistRegion):
+        return _c_range(choice.nodes[choice.stop - 1])[0], _c_range(choice.nodes[choice.start])[1]
     if choice.constant:
         return choice.tangle.den, math.inf
     return choice.final_left.den, choice.final_right.den
 
 
-def _meeting_combinations(per_tangle: Sequence[Sequence[PathSkeleton]]):
+def _meeting_combinations(per_tangle: Sequence[Sequence[PathSkeleton | _TwistRegion]]):
     """The combinations of ``product(*per_tangle)`` whose c-ranges share a
     point, in product order. A branch is dropped as soon as the running
     intersection of its ranges is empty, so the rest are never built."""
@@ -326,6 +397,47 @@ def _meeting_combinations(per_tangle: Sequence[Sequence[PathSkeleton]]):
     return walk(0, 0, math.inf, ())
 
 
+def _solved_systems(
+    knot: MontesinosKnot, solvable: Sequence[Sequence[PathSkeleton]], type_ii: bool
+) -> tuple[list[EdgepathSystem], list[str]]:
+    """The systems the endpoint solve accepts, those with c == 1 (type II)
+    only when ``type_ii`` is set, and the degeneracy notes, both in the
+    product order of ``solvable``, the tangles' solver choices.
+
+    The walk runs over twist regions: one sum of A and B per combination of
+    regions whose ranges meet, then one ``solve_endpoints`` call on the
+    choice of each region whose range holds c. When A == 0 != B no choice
+    solves, and when A == 0 == B every combination of the regions' choices
+    is degenerate, and each whose ranges meet gets its note. Systems and
+    notes are found region by region and put in product order by their
+    choice indices, as a walk over single choices would give them.
+    """
+    solved: list[tuple[tuple[int, ...], EdgepathSystem]] = []
+    notes: list[tuple[tuple[int, ...], str]] = []
+    for regions in _meeting_combinations([_twist_regions(choices) for choices in solvable]):
+        # every choice of a region adds the same terms, so its first stands in
+        an, bn, _ = _endpoint_sums([r.nodes[r.start] for r in regions])
+        if an == 0:
+            if bn == 0:
+                choice_lists = [r.nodes[r.start : r.stop] for r in regions]
+                for combo in _meeting_combinations(choice_lists):
+                    try:
+                        solve_endpoints(combo)
+                    except DegenerateSystemError as exc:
+                        notes.append((tuple(map(_TwistRegion.index_of, regions, combo)), str(exc)))
+            continue
+        whole = bn // an
+        indices = tuple(r.index_for(whole) for r in regions)
+        combo = [r.nodes[i] for r, i in zip(regions, indices)]
+        solution = solve_endpoints(combo)
+        # an accepted c is at least 1, and u = 1 - 1/c is 0 exactly at c = 1
+        if solution is not None and (type_ii or solution.c != 1):
+            solved.append((indices, _build_solved_system(knot, combo, solution)))
+    solved.sort(key=lambda entry: entry[0])
+    notes.sort(key=lambda entry: entry[0])
+    return [system for _, system in solved], [note for _, note in notes]
+
+
 def enumerate_systems_with_diagnostics(
     knot: MontesinosKnot, cap: int = DEFAULT_COMBINATION_CAP, type_ii: bool = True
 ) -> tuple[list[EdgepathSystem], list[str]]:
@@ -335,17 +447,24 @@ def enumerate_systems_with_diagnostics(
     Type I and II systems with isolated endpoints come from the exact
     solve over the combinations of open-final-edge truncations and roots
     (constant choices) whose c-ranges meet; the others have no endpoint in
-    range and are skipped unsolved, degenerate ones included. Type II
-    systems needing vertical motion are built from combinations of paths
-    stopped at their v-axis arrival vertices: the integer displacement
-    that zeroes the v-sum is absorbed by the first path whose allowed
-    vertical direction permits it (any other split along vertical edges
-    yields the same twist, hence the same slope). Type III systems are
-    all combinations of maximal skeletons. Each arrival and maximal path
-    is built once and shared by every combination it appears in.
+    range and are skipped unsolved, degenerate ones included; one solve
+    serves each twist region (``_solved_systems``). Type II systems needing
+    vertical motion are built from combinations of paths stopped at their
+    v-axis arrival vertices: the integer displacement that zeroes the
+    v-sum is absorbed by the first path whose allowed vertical direction
+    permits it (any other split along vertical edges yields the same
+    twist, hence the same slope). Type III systems are all combinations of
+    maximal skeletons. Each arrival and maximal path is built once and
+    shared by every combination it appears in.
 
-    ``type_ii`` moves no count: the cap counts all three products and
-    every meeting combination is solved either way.
+    Systems come in walk order, unsorted: the solved ones, then those with
+    vertical motion, then type III, each in the product order of its
+    choices, and the notes in the product order of the solver choices.
+    ``enumerate_systems`` sorts the systems; ``surfaces.build_reports``
+    sorts the reports instead.
+
+    ``type_ii`` moves no count: the cap counts all three products and the
+    same solves run either way.
     """
     per_tangle = [enumerate_skeletons(f) for f in knot.tangles]
     solvable = [solver_choices(sks) for sks in per_tangle]
@@ -356,18 +475,7 @@ def enumerate_systems_with_diagnostics(
     if total > cap:
         raise CapExceededError(f"{total} skeleton combinations exceed the cap of {cap}")
 
-    systems: list[EdgepathSystem] = []
-    diagnostics: list[str] = []
-
-    for combo in _meeting_combinations(solvable):
-        try:
-            solution = solve_endpoints(combo)
-        except DegenerateSystemError as exc:
-            diagnostics.append(str(exc))
-            continue
-        # an accepted c is at least 1, and u = 1 - 1/c is 0 exactly at c = 1
-        if solution is not None and (type_ii or solution.c != 1):
-            systems.append(_build_solved_system(knot, combo, solution))
+    systems, diagnostics = _solved_systems(knot, solvable, type_ii)
 
     if type_ii:
         built_arrivals = [[(ch, ch.to_edgepath()) for ch in options] for options in arrivals]
@@ -390,14 +498,17 @@ def enumerate_systems_with_diagnostics(
     for paths in product(*built_maximal):
         systems.append(EdgepathSystem(knot, paths, Frac(-1)))
 
-    systems.sort(key=lambda s: s._sort_key())
     return systems, diagnostics
 
 
 def enumerate_systems(
     knot: MontesinosKnot, cap: int = DEFAULT_COMBINATION_CAP
 ) -> list[EdgepathSystem]:
-    return enumerate_systems_with_diagnostics(knot, cap)[0]
+    """The knot's candidate systems of every type, sorted by type and then
+    by their rendered paths."""
+    systems = enumerate_systems_with_diagnostics(knot, cap)[0]
+    systems.sort(key=lambda s: s._sort_key())
+    return systems
 
 
 # -- independent validation ----------------------------------------------------

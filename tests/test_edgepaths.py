@@ -16,6 +16,7 @@ from montesinos import (
     path_from_vertices,
     penultimate_vertex,
 )
+from montesinos.edgepaths import single_class_maximal_skeleton
 
 from helpers import (
     fr,
@@ -297,6 +298,16 @@ def test_malformed_paths_rejected():
         path_from_vertices(fr("2/5"), [fr("2/5"), fr("1/5")])  # not neighbours
     with pytest.raises(ValueError):
         path_from_vertices(fr("1/2"), [fr("1/2"), fr("2/5")])  # runs rightward
+
+
+def test_skeleton_equality_builds_no_vertex_tuple(monkeypatch):
+    tangle = fr("1/11")
+    tree = enumerate_skeletons(tangle)
+    walked = single_class_maximal_skeleton(tangle, 1)
+    (twin,) = [sk for sk in tree if sk.vertices == walked.vertices]
+    monkeypatch.setattr(PathSkeleton, "vertices", property(lambda sk: pytest.fail("vertex tuple built")))
+    assert twin is not walked and twin == walked and hash(twin) == hash(walked)
+    assert [sk for sk in tree if sk == walked] == [twin]
 
 
 def test_skeleton_str_and_helpers():

@@ -14,6 +14,7 @@ from montesinos import (
     analyze,
     enumerate_systems,
     find_seifert_system,
+    system_twist,
     validate_system,
 )
 from montesinos.family import family_knot
@@ -48,9 +49,9 @@ def test_every_emitted_system_and_reference_validates():
         for system in enumerate_systems(k):
             assert validate_system(system) is None, (str(k), system.render_paths())
             # the O(1) twists read from the nodes, against the edge-by-edge sum
-            assert [p.twist() for p in system.paths] == [
-                twist_and_length_by_edge(p)[0] for p in system.paths
-            ], (str(k), system.render_paths())
+            twists = [twist_and_length_by_edge(p)[0] for p in system.paths]
+            assert [p.twist() for p in system.paths] == twists, (str(k), system.render_paths())
+            assert system_twist(system) == sum(twists, Frac(0)), (str(k), system.render_paths())
         try:
             reference = find_seifert_system(k)
         except SeifertReferenceError:

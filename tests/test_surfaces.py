@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import random
 
 import pytest
 
@@ -11,7 +12,9 @@ from montesinos import (
     boundary_component_count,
     build_reports,
     edge_sign,
+    SeifertReferenceError,
     enumerate_systems,
+    enumerate_systems_with_diagnostics,
     essentiality,
     euler_characteristic_type_I,
     euler_ratio,
@@ -23,6 +26,7 @@ from montesinos.cli import _print_csv
 from montesinos.surfaces import CSV_COLUMNS, IntegrityError
 
 from helpers import fr, knot
+from test_random_knots import KNOTS as RANDOM_KNOTS
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +191,30 @@ def test_reports_sorted_by_slope_then_type(k11):
     _, _, _, reports = k11
     keys = [(r.slope, r.system.system_type) for r in reports]
     assert keys == sorted(keys)
+
+
+# the benchmark's three wide anchors, then seeded knots
+REPORT_ORDER_SPECS = [
+    "3/7,-5/13,8/21,13/34",
+    "55/89,-34/55,21/34",
+    "1/3,2/7,-3/11,5/13,8/21",
+] + [k.spec_string for k in RANDOM_KNOTS]
+
+
+@pytest.mark.parametrize("spec", REPORT_ORDER_SPECS)
+def test_one_report_sort_keeps_the_order_of_two(spec):
+    k = knot(spec)
+    systems, _ = enumerate_systems_with_diagnostics(k)
+    try:
+        reference = find_seifert_system(k)
+    except SeifertReferenceError:  # any one type III system orders the slopes alike
+        reference = next(s for s in systems if s.system_type == "III")
+    random.Random(spec).shuffle(systems)
+    reports = build_reports(systems, reference)
+    # the order of two sorts: by type and rendering, then stably by slope and type
+    by_rendering = sorted(reports, key=lambda r: r.system._sort_key())
+    expected = sorted(by_rendering, key=lambda r: (r.slope, r.system.system_type))
+    assert [r.system for r in reports] == [r.system for r in expected]
 
 
 def test_twist_parity(k11):

@@ -25,10 +25,17 @@ from montesinos import CapExceededError, enumerate_skeletons
 from montesinos import systems as systems_module
 from montesinos.cli import main
 from montesinos.rationals import INF
-from montesinos.systems import _c_range, _meeting_combinations, solver_choices
+from montesinos.systems import (
+    _build_solved_system,
+    _c_range,
+    _meeting_combinations,
+    _solved_systems,
+    solver_choices,
+)
 
 from helpers import fr, knot, skeleton, solve_endpoints_by_fracs
 from test_random_knots import KNOTS as RANDOM_KNOTS
+from test_seifert_search import random_specs
 
 
 # -- knot validation -------------------------------------------------------
@@ -381,6 +388,68 @@ def test_degenerate_notes_only_for_meeting_ranges(capsys, monkeypatch):
         assert _ranges_meet(combo) == (note in notes), note
     skipped = "<-1> - <-1/2>; <1/4> - <1/5>; constant on <1/3>; constant on <-1/3>"
     assert skipped in unpruned and skipped not in notes
+
+
+# -- twist regions ---------------------------------------------------------------
+
+# The last two specs' degenerate notes come out of order when the regions'
+# notes are not put back in product order.
+REGION_KNOTS = (
+    PRUNE_KNOTS
+    + [f"-1/2,2/5,1/{n}" for n in range(11, 42, 2)]
+    + random_specs(2022, 40)
+    + ["-1/7,-7/10,7/11,2/5", "-1/9,1/9,1/6,-1/9"]
+)
+
+
+def _solve_every_meeting_combination(k, solvable):
+    """The solved systems and degenerate notes by one ``solve_endpoints``
+    call per meeting combination of single choices, in product order."""
+    systems, notes = [], []
+    for combo in _meeting_combinations(solvable):
+        try:
+            solution = solve_endpoints(combo)
+        except DegenerateSystemError as exc:
+            notes.append(str(exc))
+            continue
+        if solution is not None:
+            systems.append(_build_solved_system(k, combo, solution))
+    return systems, notes
+
+
+@pytest.mark.parametrize("spec", REGION_KNOTS)
+def test_twist_regions_solve_as_every_choice_does(spec):
+    k = knot(spec)
+    solvable = [solver_choices(enumerate_skeletons(f)) for f in k.tangles]
+    expected_systems, expected_notes = _solve_every_meeting_combination(k, solvable)
+    assert _solved_systems(k, solvable, type_ii=True) == (expected_systems, expected_notes)
+    systems, notes = enumerate_systems_with_diagnostics(k)
+    assert notes == expected_notes
+    assert systems[: len(expected_systems)] == expected_systems
+
+
+def test_region_sample_holds_degenerate_notes():
+    noted = [spec for spec in REGION_KNOTS if enumerate_systems_with_diagnostics(knot(spec))[1]]
+    assert len(noted) >= 5 and {"-1/7,-7/10,7/11,2/5", "-1/9,1/9,1/6,-1/9"} <= set(noted)
+
+
+def _solve_calls(monkeypatch, spec):
+    calls = []
+    original = systems_module.solve_endpoints
+
+    def counted(choices):
+        calls.append(len(choices))
+        return original(choices)
+
+    monkeypatch.setattr(systems_module, "solve_endpoints", counted)
+    enumerate_systems_with_diagnostics(knot(spec))
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_solve_calls_do_not_grow_with_the_twist_region(monkeypatch):
+    deep = _solve_calls(monkeypatch, "-1/2,2/5,1/10001")
+    assert deep == _solve_calls(monkeypatch, "-1/2,2/5,1/101") > 0
 
 
 # -- independent validation ------------------------------------------------------
