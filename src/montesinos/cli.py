@@ -131,7 +131,8 @@ def cmd_verify_family(args) -> int:
 
 
 def cmd_pair_gap(args) -> int:
-    knot, reports = _knot_reports(args.knot, args.all_types, args.cap, dedupe=False)
+    # every type II twist is a type III twist (Hatcher-Oertel), so type II adds no slope
+    knot, reports = _knot_reports(args.knot, False, args.cap, dedupe=False)
     slopes = sorted({r.slope for r in reports})
     if len(slopes) < 2:
         if args.format == "json":
@@ -225,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pair-gap", help="minimal difference between distinct slopes")
     _add_common(p, with_csv=False)  # one result, printed as text or JSON
-    p.add_argument("--all-types", action="store_true", help="include type II systems")
     p.set_defaults(func=cmd_pair_gap)
 
     p = sub.add_parser("seifert", help="show the slope-zero reference system")

@@ -48,8 +48,6 @@ def verify_family_row(n: int, cap: int = DEFAULT_COMBINATION_CAP) -> dict:
     ):
         failures.append("surface_big_invariants")
     gap = slope_big - slope_small
-    if gap != expected_family_gap(n):
-        failures.append("gap")
     return {
         "n": n,
         "slope_small": str(slope_small),

@@ -49,8 +49,9 @@ B, and w * p_i - y * q_i does not change under the step. With the other
 tangles' choices fixed, c = B / A is one value for the whole run, and the
 run's c-ranges [q_i, q_i + w) tile one interval, so only the one choice
 whose range holds c can be accepted. The enumeration sums A and B once
-per meeting combination of runs and solves that one choice per run: the
-number of solves follows the number of runs, not the length of a chain.
+per meeting combination of runs and solves only when every run has that
+choice: the number of solves follows the number of runs, not the length
+of a chain.
 
 The solve runs in integers. With d_i = q_i - s_i, each b_i = s_i * a_i - r_i
 equals (s_i * p_i - r_i * q_i) / d_i, which is +-1/d_i because the Farey
@@ -209,11 +210,10 @@ def solve_endpoints(choices: Sequence[PathSkeleton]) -> EndpointSolution | None:
     Moving path i, whose final edge runs from r_i/s_i down to p_i/q_i with
     q_i < s_i (or ValueError), adds a_i = (p_i - r_i) / d_i to A and
     b_i = (s_i * p_i - r_i * q_i) / d_i to B, with d_i = q_i - s_i. A root,
-    the constant choice, adds its fraction R_j to A and nothing to B, so a
-    combination of roots only is degenerate when the fractions sum to 0,
-    which happens only on a two-component link, and otherwise c = 0 is out
-    of every root's range. Each choice's ``_c_range`` has integer ends, so
-    only Bn // An is compared, and ``Frac``s are built only when accepted.
+    the constant choice, adds its fraction R_j to A and nothing to B (the
+    module docstring's roots-only case). Each choice's ``_c_range`` has
+    integer ends, so only Bn // An is compared, and ``Frac``s are built
+    only when accepted.
 
     Returns the unique solution when it exists and meets every range
     constraint, None when the equation is inconsistent or the solution
@@ -293,16 +293,13 @@ def _build_solved_system(
     return EdgepathSystem(knot, tuple(paths), solution.u0)
 
 
-def _vertical_directions(choice: PathSkeleton) -> list[int]:
-    """Directions (+1 up, -1 down) a path ending at an integer vertex may
-    take along vertical edges, by the two-sides-of-a-triangle rule against
-    its arrival edge."""
-    z, g = choice.final_left, choice.final_right
-    out = []
-    for d in (1, -1):
-        if not is_farey_edge(g, z + d):
-            out.append(d)
-    return out
+def _may_move(choice: PathSkeleton, direction: int) -> bool:
+    """Whether a path ending at the integer z may step ``direction`` (+-1)
+    along vertical edges: not when z + direction is joined to its arrival
+    vertex g, so both steps lie on one triangle. With e = g.num - z * g.den
+    = +-1, |e - direction * g.den| = 1 only when g = z + direction / 2."""
+    g = choice.final_right
+    return not (g.den == 2 and g.num == 2 * choice.final_left.num + direction)
 
 
 def _extended_path(choice: PathSkeleton, displacement: int) -> Edgepath:
@@ -334,16 +331,17 @@ class _TwistRegion(NamedTuple):
     start: int
     stop: int
 
-    def index_for(self, whole: int) -> int:
-        """The index of the choice whose c-range holds ``whole``, or of the
-        run's nearer end when none does, in O(1)."""
-        if self.stop - self.start == 1:
-            return self.start
+    def index_for(self, whole: int) -> int | None:
+        """The index of the choice whose c-range holds ``whole``, or None
+        when none does, in O(1)."""
         first = self.nodes[self.start]
+        if self.stop - self.start == 1:
+            lo, hi = _c_range(first)
+            return self.start if lo <= whole < hi else None
         q = first.final_left.den
         # choice k of the run has the range [q - k * w, q - k * w + w)
         k = (q - whole - 1) // (first.final_right.den - q) + 1
-        return self.start + min(max(k, 0), self.stop - self.start - 1)
+        return self.start + k if 0 <= k < self.stop - self.start else None
 
     def index_of(self, choice: PathSkeleton) -> int:
         """The index of one of the run's choices: its edges past the first's."""
@@ -405,12 +403,12 @@ def _solved_systems(
     product order of ``solvable``, the tangles' solver choices.
 
     The walk runs over twist regions: one sum of A and B per combination of
-    regions whose ranges meet, then one ``solve_endpoints`` call on the
-    choice of each region whose range holds c. When A == 0 != B no choice
-    solves, and when A == 0 == B every combination of the regions' choices
-    is degenerate, and each whose ranges meet gets its note. Systems and
-    notes are found region by region and put in product order by their
-    choice indices, as a walk over single choices would give them.
+    regions whose ranges meet, then, when every region has a choice whose
+    range holds c, one ``solve_endpoints`` call, which accepts them. When
+    A == 0 != B no choice solves, and when A == 0 == B every combination of
+    the regions' choices is degenerate, and each whose ranges meet gets its
+    note. Systems and notes are found region by region and put in product
+    order by their choice indices, as a walk over single choices would.
     """
     solved: list[tuple[tuple[int, ...], EdgepathSystem]] = []
     notes: list[tuple[tuple[int, ...], str]] = []
@@ -428,10 +426,12 @@ def _solved_systems(
             continue
         whole = bn // an
         indices = tuple(r.index_for(whole) for r in regions)
+        if None in indices:
+            continue
         combo = [r.nodes[i] for r, i in zip(regions, indices)]
         solution = solve_endpoints(combo)
         # an accepted c is at least 1, and u = 1 - 1/c is 0 exactly at c = 1
-        if solution is not None and (type_ii or solution.c != 1):
+        if type_ii or solution.c != 1:
             solved.append((indices, _build_solved_system(knot, combo, solution)))
     solved.sort(key=lambda entry: entry[0])
     notes.sort(key=lambda entry: entry[0])
@@ -485,7 +485,7 @@ def enumerate_systems_with_diagnostics(
                 continue  # already found by the solver with every weight at 1
             direction = 1 if shift > 0 else -1
             absorber = next(
-                (i for i, (ch, _) in enumerate(combo) if direction in _vertical_directions(ch)),
+                (i for i, (ch, _) in enumerate(combo) if _may_move(ch, direction)),
                 None,
             )
             if absorber is None:

@@ -12,6 +12,7 @@ from montesinos import (
     MontesinosKnot,
     SeifertReferenceError,
     enumerate_skeletons,
+    is_farey_edge,
     is_seifert_candidate,
     system_twist,
 )
@@ -105,6 +106,13 @@ def single_class_by_vertices(vertices) -> bool:
         for a, b in zip(vertices, vertices[1:])
     }
     return len(classes) == 1
+
+
+def may_move_by_triangle(choice, direction: int) -> bool:
+    """Whether a path ending at the integer z may step ``direction`` along
+    vertical edges, by the two-sides-of-a-triangle rule: not when its
+    arrival vertex and z + direction are joined by a Farey edge."""
+    return not is_farey_edge(choice.final_right, choice.final_left + direction)
 
 
 def solve_endpoints_by_fracs(choices):

@@ -262,6 +262,15 @@ def test_csv_is_not_offered_where_nothing_writes_it(capsys, command):
     assert "unrecognized arguments: --csv" in capsys.readouterr().err
 
 
+def test_pair_gap_has_no_all_types_option(capsys):
+    # every type II twist is a type III twist, so type II adds no slope to a pair
+    with pytest.raises(SystemExit) as exc:
+        main(["pair-gap", "--all-types", "-1/2,2/5,1/19"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert "unrecognized arguments: --all-types" in captured.err
+
+
 def test_default_enumerate_builds_no_type_II_report(capsys, monkeypatch):
     import montesinos.surfaces as surfaces_module
 

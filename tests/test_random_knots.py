@@ -120,3 +120,25 @@ def test_requested_types_are_the_full_analysis_filtered(k):
         reports, reference_twist, diagnostics = expected
         expected = [r for r in reports if r["type"] != "II"], reference_twist, diagnostics
     assert _analysis(k, type_ii=False) == expected
+
+
+def test_every_type_II_twist_is_a_type_III_twist():
+    # An arrival path extended by the unsigned edge to <inf> stays minimal and
+    # keeps its twist, and vertical motion adds none (Hatcher-Oertel), so
+    # pair-gap reads no type II system. The sample's 161 referenced knots
+    # carry 3,156 type II reports, 2,655 of them from vertical motion.
+    answered = type_ii = moved = 0
+    for k in random_knots(1989, 200):
+        try:
+            reports = analyze(k).reports
+        except SeifertReferenceError:
+            continue
+        answered += 1
+        twists = {t: {r.twist for r in reports if r.system.system_type == t} for t in ("II", "III")}
+        assert twists["II"] <= twists["III"], str(k)
+        for r in reports:
+            if r.system.system_type == "II":
+                type_ii += 1
+                # a vertical step runs between two integers; a solved final edge never does
+                moved += any(p.skeleton.final_right.is_integer for p in r.system.paths)
+    assert (answered, type_ii, moved) == (161, 3156, 2655)

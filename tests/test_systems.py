@@ -1,7 +1,9 @@
 """Knot validation, the exact endpoint solve, enumeration, Seifert detection."""
 
 import random
+from collections import Counter
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -28,12 +30,13 @@ from montesinos.rationals import INF
 from montesinos.systems import (
     _build_solved_system,
     _c_range,
+    _may_move,
     _meeting_combinations,
     _solved_systems,
     solver_choices,
 )
 
-from helpers import fr, knot, skeleton, solve_endpoints_by_fracs
+from helpers import fr, knot, may_move_by_triangle, skeleton, solve_endpoints_by_fracs
 from test_random_knots import KNOTS as RANDOM_KNOTS
 from test_seifert_search import random_specs
 
@@ -334,6 +337,22 @@ def test_no_degenerate_diagnostics_for_the_family():
     assert diagnostics == []
 
 
+def test_vertical_moves_follow_the_triangle_rule():
+    pairs = blocked = 0
+    for q in range(2, 40):
+        for p in range(1 - q, q):
+            if gcd(p, q) != 1:
+                continue
+            for sk in enumerate_skeletons(Frac(p, q)):
+                if sk.final_left.is_integer:
+                    for direction in (1, -1):
+                        expected = may_move_by_triangle(sk, direction)
+                        assert _may_move(sk, direction) == expected, (sk, direction)
+                        pairs += 1
+                        blocked += not expected
+    assert (pairs, blocked) == (7544, 2040)
+
+
 # -- c-range pruning -------------------------------------------------------------
 
 PRUNE_KNOTS = ["-1/2,2/5,1/11", "-1/2,1/5,1/3,-1/3", "-2/3,5/8,4/9", "7/9,-1/7,-4/7"]
@@ -445,6 +464,25 @@ def _solve_calls(monkeypatch, spec):
     enumerate_systems_with_diagnostics(knot(spec))
     monkeypatch.undo()
     return len(calls)
+
+
+def test_twist_regions_solve_only_combinations_they_accept(monkeypatch):
+    outcomes = Counter()
+    original = systems_module.solve_endpoints
+
+    def recorded(choices):
+        try:
+            solution = original(choices)
+        except DegenerateSystemError:
+            outcomes["degenerate"] += 1
+            raise
+        outcomes["rejected" if solution is None else "accepted"] += 1
+        return solution
+
+    monkeypatch.setattr(systems_module, "solve_endpoints", recorded)
+    for spec in REGION_KNOTS:
+        enumerate_systems_with_diagnostics(knot(spec))
+    assert outcomes["rejected"] == 0 < min(outcomes["accepted"], outcomes["degenerate"])
 
 
 def test_solve_calls_do_not_grow_with_the_twist_region(monkeypatch):
