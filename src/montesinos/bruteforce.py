@@ -14,18 +14,16 @@ verification, not speed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .edgepaths import PathSkeleton, enumerate_skeletons
 from .rationals import INF, Frac
 from .systems import DegenerateSystemError, MontesinosKnot, solve_endpoints, solver_choices
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(NamedTuple):
     """Integer endpoint weights: every moving path stops at weight k_i out
     of a common total m on the left vertex of its final edge."""
 

@@ -38,8 +38,6 @@ final sign (the node's sum minus its parent's), are read in O(1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .farey import diagram_edge, diagram_uv, farey_parent_terms, horizontal_uv
 from .rationals import INF, Frac
 
@@ -163,7 +161,6 @@ class PathSkeleton:
 # -- edgepaths ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
 class Edgepath:
     """One tangle's edgepath: a skeleton node, whose vertices run right to
     left from the tangle vertex, and ``final_weight``, the weight of the
@@ -172,17 +169,18 @@ class Edgepath:
     one ending at a vertex stores None (``PathSkeleton.to_edgepath``
     normalizes a solved weight of 1 to a fully traversed final edge). The
     root's last edge is the horizontal edge from <p/q>o to <p/q>, so a
-    constant path is the root plus a weight in [0, 1] on <p/q>. ``render``
-    computes the path's string once and keeps it in a slot that takes no
-    part in equality, hashing or ``repr``.
+    constant path is the root plus a weight in [0, 1] on <p/q>.
+
+    ``__init__`` validates the pair (ValueError). A path is immutable by
+    convention, as ``Frac`` and ``PathSkeleton`` are, and equal paths have
+    equal ``(skeleton, final_weight)``. ``render`` keeps the path's string
+    in a slot that takes no part in equality, hashing or ``repr``.
     """
 
-    skeleton: PathSkeleton
-    final_weight: Frac | None = None
-    _rendered: str | None = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("skeleton", "final_weight", "_rendered")
 
-    def __post_init__(self):
-        sk, t = self.skeleton, self.final_weight
+    def __init__(self, skeleton: PathSkeleton, final_weight: Frac | None = None):
+        sk, t = skeleton, final_weight
         if sk.tangle.is_infinite or sk.tangle.is_integer:
             raise ValueError(f"tangle {sk.tangle} is not a rational tangle")
         if not sk.n_edges:
@@ -193,6 +191,18 @@ class Edgepath:
                 raise ValueError(f"final weight {t} outside (0, 1)")
             if sk.is_maximal:
                 raise ValueError("cannot stop part-way toward <inf>")
+        self.skeleton, self.final_weight, self._rendered = sk, t, None
+
+    def __eq__(self, other):
+        if not isinstance(other, Edgepath):
+            return NotImplemented
+        return (self.skeleton, self.final_weight) == (other.skeleton, other.final_weight)
+
+    def __hash__(self):
+        return hash((self.skeleton, self.final_weight))
+
+    def __repr__(self) -> str:
+        return f"Edgepath(skeleton={self.skeleton!r}, final_weight={self.final_weight!r})"
 
     @property
     def tangle(self) -> Frac:
@@ -268,7 +278,7 @@ class Edgepath:
             else:
                 head = f"<{verts[-1]}>"
             text = " - ".join([head] + [f"<{v}>" for v in reversed(verts[:-1])])
-        object.__setattr__(self, "_rendered", text)  # frozen: set once, like __init__
+        self._rendered = text
         return text
 
 

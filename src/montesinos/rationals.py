@@ -194,10 +194,10 @@ class Frac:
 INF = Frac(1, 0)
 
 
-def decimal_str(value: Frac, digits: int = 12) -> str:
-    """Decimal rendering at ``digits`` significant digits, display only."""
+def decimal_str(value: Frac) -> str:
+    """Decimal rendering at 12 significant digits, display only."""
     if value.is_infinite:
         return "inf"
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 12
         return str(Decimal(value.num) / Decimal(value.den))

@@ -35,7 +35,6 @@ system type, with rendered paths ordering only the reports that tie.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import groupby
 from math import lcm
@@ -132,8 +131,7 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class SurfaceReport:
+class SurfaceReport(NamedTuple):
     system: EdgepathSystem
     twist: Frac
     slope: Frac

@@ -91,7 +91,6 @@ vertex values, a second derivation that the pipeline never calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple, Sequence
 
@@ -118,27 +117,30 @@ class SeifertReferenceError(Exception):
 # -- knots -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MontesinosKnot:
-    """An ordered list of rational tangle fractions p_i/q_i, q_i >= 2.
+class MontesinosKnot(NamedTuple("MontesinosKnot", [("tangles", tuple[Frac, ...])])):
+    """An ordered list of rational tangle fractions p_i/q_i, q_i >= 2, as a
+    one-field named tuple validated (ValueError) in ``__new__`` and ``_make``.
 
     At most one denominator may be even; otherwise the diagram closes up
     to a link with several components, which this package does not handle.
     """
 
-    tangles: tuple[Frac, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.tangles) < 3:
+    def __new__(cls, tangles: tuple[Frac, ...]):
+        if len(tangles) < 3:
             raise ValueError("need at least 3 tangles")
-        for f in self.tangles:
+        for f in tangles:
             if f.is_infinite or f.is_integer:
                 raise ValueError(f"tangle {f} must have denominator >= 2")
-        even = [f for f in self.tangles if f.den % 2 == 0]
+        even = [f for f in tangles if f.den % 2 == 0]
         if len(even) > 1:
-            raise ValueError(
-                "more than one even denominator: this is a multi-component link"
-            )
+            raise ValueError("more than one even denominator: this is a multi-component link")
+        return super().__new__(cls, tangles)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @classmethod
     def parse(cls, spec: str) -> "MontesinosKnot":
@@ -240,8 +242,7 @@ def solve_endpoints(choices: Sequence[PathSkeleton]) -> EndpointSolution | None:
 # -- systems -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EdgepathSystem:
+class EdgepathSystem(NamedTuple):
     knot: MontesinosKnot
     paths: tuple[Edgepath, ...]
     common_u: Frac
@@ -514,8 +515,7 @@ def enumerate_systems(
 # -- independent validation ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     condition: str
     path_index: int
     detail: str

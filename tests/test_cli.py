@@ -384,6 +384,19 @@ def test_console_script_entry_point():
     assert "n=11 PASS" in proc.stdout
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # the records are named tuples and slots classes, so the import that
+    # every command pays pulls in none of dataclasses' own imports
+    probe = (
+        "import sys, montesinos.cli\n"
+        "montesinos.cli.build_parser()\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_early_stdout_close_exits_141_without_traceback():
     # about 97 kB of JSON, more than a pipe buffers, so the child is still
     # writing when the reader goes away

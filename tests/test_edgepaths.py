@@ -285,6 +285,11 @@ def test_render_walks_the_vertices_once(monkeypatch):
     assert path == twin and hash(path) == hash(twin) and walks[0] == 1
     assert twin.render() == text and walks[0] == 2
     assert repr(path) == repr(sk.to_edgepath(Frac(1, 11))) and "render" not in repr(path)
+    # a rendered and an unrendered path stay equal; another weight is another path
+    fresh = sk.to_edgepath(Frac(1, 11))
+    assert path == fresh and fresh == path and hash(path) == hash(fresh)
+    other = sk.to_edgepath(Frac(2, 11))
+    assert path != other and other != path
 
 
 def test_malformed_paths_rejected():

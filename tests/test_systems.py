@@ -11,6 +11,7 @@ from montesinos import (
     DegenerateSystemError,
     EdgepathSystem,
     Frac,
+    MontesinosKnot,
     PathSkeleton,
     constant_path,
     enumerate_systems,
@@ -64,6 +65,24 @@ def test_knot_rejects_two_even_denominators():
     with pytest.raises(ValueError, match="even denominator"):
         knot("1/2,1/4,1/3")
     knot("1/2,1/3,1/5")  # one even denominator is fine
+
+
+def test_knot_built_directly_is_validated_and_immutable():
+    k = MontesinosKnot((fr("-1/2"), fr("2/5"), fr("1/11")))
+    for tangles, message in [
+        ((fr("-1/2"), fr("2/5")), "at least 3"),
+        ((fr("-1/2"), Frac(2), fr("1/3")), "denominator >= 2"),
+        ((fr("1/2"), fr("1/4"), fr("1/3")), "even denominator"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            MontesinosKnot(tangles)
+        with pytest.raises(ValueError, match=message):
+            k._replace(tangles=tangles)  # builds through _make
+    with pytest.raises(AttributeError):
+        k.tangles = ()
+    twin = knot("-1/2,2/5,1/11")
+    assert k == twin and hash(k) == hash(twin) and k is not twin
+    assert repr(k) == "MontesinosKnot(tangles=(Frac(-1, 2), Frac(2, 5), Frac(1, 11)))"
 
 
 # -- endpoint solving --------------------------------------------------------
